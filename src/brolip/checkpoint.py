@@ -81,6 +81,11 @@ def load_checkpoint(path) -> Network:
         if offset + nbytes > len(raw):
             raise FormatError("truncated parameter blob")
         chunk = np.frombuffer(raw, dtype="<f8", count=arr.size, offset=offset)
+        finite = np.isfinite(chunk)
+        if not finite.all():
+            pos = int(np.argmin(finite))
+            raise FormatError(f"non-finite value {chunk[pos]} in parameter {name}@{i} "
+                              f"(flat position {pos})")
         arr[...] = chunk.reshape(arr.shape)
         offset += nbytes
     if offset != len(raw):

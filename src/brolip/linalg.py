@@ -1,22 +1,24 @@
 """Hermitian positive-definite solves via Cholesky factorization.
 
-The factorization is written out by hand (rather than delegated to LAPACK)
-so that the failing pivot index and the rank-deficiency threshold are under
-our control: a pivot at or below 1e-12 times the matrix trace raises
+The factorization and the diagonal blocks of the triangular solves run on
+numpy's LAPACK. The rank-deficiency contract stays under our control: after
+factoring, a pivot L[j, j]^2 at or below 1e-12 times the matrix trace raises
 `SingularParameter` instead of silently regularizing, because downstream
-orthogonality certificates depend on the solve being exact.
+orthogonality certificates depend on the solve being exact. When LAPACK
+itself rejects the matrix, an unblocked elimination re-runs it only to find
+the failing pivot. Non-finite entries are rejected before factoring.
 
 All routines accept a stack of matrices (leading batch axes) and work for
 float64 and complex128 alike; `np.conj` on real data is the identity.
-Factorization and substitution are blocked/recursive so the heavy lifting
-happens in large batched matmuls.
+Substitution is blocked so the heavy lifting happens in large batched
+matmuls.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, ShapeError, SingularParameter
+from .errors import ContractError, DivergedError, ShapeError, SingularParameter
 from .tensor import CTensor, as_complex_array, record_alloc
 
 PIVOT_REL_TOL = 1e-12
@@ -27,53 +29,72 @@ def _conj_t(a: np.ndarray) -> np.ndarray:
     return np.conj(np.swapaxes(a, -1, -2))
 
 
-def _chol_panel(work: np.ndarray, out: np.ndarray, tol: np.ndarray,
-                trace: np.ndarray, base: int) -> None:
-    """Unblocked factorization of a small leading panel, in place."""
+def _singular(j: int, bad: np.ndarray, pivot: np.ndarray,
+              trace: np.ndarray) -> SingularParameter:
+    """Error for pivot j; `bad`, `pivot` and `trace` are per batch member."""
+    idx = tuple(np.argwhere(bad)[0])
+    bad_pivot = float(pivot[idx])
+    est = np.inf if bad_pivot <= 0 else float(trace[idx]) / bad_pivot
+    return SingularParameter(j, est)
+
+
+def _chol_panel(work: np.ndarray, tol: np.ndarray, trace: np.ndarray) -> None:
+    """Unblocked elimination in place; raises at the first failing pivot.
+
+    Only locates the pivot after LAPACK has rejected the matrix, so the
+    factor itself is not kept.
+    """
     n = work.shape[-1]
     for j in range(n):
         pivot = work[..., j, j].real
         bad = pivot <= tol
         if np.any(bad):
-            idx = tuple(np.argwhere(bad)[0])
-            bad_pivot = float(pivot[idx]) if pivot.ndim else float(pivot)
-            bad_trace = float(trace[idx]) if trace.ndim else float(trace)
-            est = np.inf if bad_pivot <= 0 else bad_trace / bad_pivot
-            raise SingularParameter(base + j, est)
-        root = np.sqrt(pivot)
-        out[..., j, j] = root
+            raise _singular(j, bad, pivot, trace)
         if j + 1 < n:
-            col = work[..., j + 1:, j] / root[..., None]
-            out[..., j + 1:, j] = col
+            col = work[..., j + 1:, j] / np.sqrt(pivot)[..., None]
             work[..., j + 1:, j + 1:] -= col[..., :, None] * np.conj(col)[..., None, :]
+
+
+def _check_finite(a: np.ndarray) -> None:
+    finite = np.isfinite(a)
+    if finite.all():
+        return
+    bad = np.argwhere(~finite)
+    first = bad[np.argmin(bad[:, -1])]  # smallest column, then C order
+    *member, row, col = (int(i) for i in first)
+    where = f"row {row}, column {col}" + (f" of batch member {tuple(member)}"
+                                          if member else "")
+    raise DivergedError(col, f"Cholesky input has a non-finite entry "
+                             f"{a[tuple(first)]} at {where}")
 
 
 def cholesky(a: np.ndarray) -> np.ndarray:
     """Lower-triangular factor L with a = L @ L^H, batched over leading axes.
 
-    Raises SingularParameter when any pivot falls at or below
-    PIVOT_REL_TOL * trace(a) for its batch member; the error carries the
-    global pivot index and a trace/pivot condition estimate.
+    Raises SingularParameter when any pivot L[j, j]^2 falls at or below
+    PIVOT_REL_TOL * trace(a) for its batch member. The error carries the
+    smallest failing pivot index over the batch (the first member in C order
+    at that index) and a trace/pivot condition estimate (inf for a pivot
+    <= 0). Raises DivergedError, before factoring, on a non-finite entry.
     """
     a = np.asarray(a)
-    n = a.shape[-1]
-    if a.ndim < 2 or a.shape[-2] != n:
+    if a.ndim < 2 or a.shape[-2] != a.shape[-1]:
         raise ShapeError(f"expected square trailing dims, got {a.shape}")
+    _check_finite(a)
+    n = a.shape[-1]
     trace = np.einsum("...ii->...", a).real
     tol = PIVOT_REL_TOL * np.maximum(trace, 0.0)
-    work = np.array(a, copy=True)
-    out = np.zeros_like(work)
+    try:
+        out = np.linalg.cholesky(a)
+    except np.linalg.LinAlgError:
+        _chol_panel(np.array(a, dtype=np.result_type(a, float)), tol, trace)
+        raise  # the elimination found no pivot at or below tol
     record_alloc(out.size)
-    for j0 in range(0, n, _BLOCK):
-        j1 = min(j0 + _BLOCK, n)
-        _chol_panel(work[..., j0:j1, j0:j1], out[..., j0:j1, j0:j1],
-                    tol, trace, j0)
-        if j1 < n:
-            l11 = out[..., j0:j1, j0:j1]
-            # A21 = L21 L11^H  =>  L11 L21^H = A21^H
-            l21 = _conj_t(solve_lower(l11, _conj_t(work[..., j1:, j0:j1])))
-            out[..., j1:, j0:j1] = l21
-            work[..., j1:, j1:] -= l21 @ _conj_t(l21)
+    pivot = np.diagonal(out, axis1=-2, axis2=-1).real ** 2
+    bad = pivot <= tol[..., None]
+    if bad.any():
+        j = int(np.argmax(bad.reshape(-1, n).any(axis=0)))
+        raise _singular(j, bad[..., j], pivot[..., j], trace)
     return out
 
 
@@ -86,12 +107,6 @@ def _solve_lower_small(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return x
 
 
-def _inv_lower_small(l: np.ndarray) -> np.ndarray:
-    n = l.shape[-1]
-    eye = np.broadcast_to(np.eye(n, dtype=l.dtype), l.shape)
-    return _solve_lower_small(l, eye)
-
-
 def _blocks(n: int):
     return [(j0, min(j0 + _BLOCK, n)) for j0 in range(0, n, _BLOCK)]
 
@@ -99,8 +114,8 @@ def _blocks(n: int):
 def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L x = b by blocked forward substitution (L lower, batched).
 
-    Diagonal blocks are inverted once so the sweep runs on large matmuls,
-    the standard BLAS-3 substitution layout.
+    Diagonal blocks are solved by LAPACK and the off-diagonal updates run
+    as large matmuls, the standard BLAS-3 substitution layout.
     """
     n = l.shape[-1]
     if n <= _BLOCK:
@@ -114,7 +129,7 @@ def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
         acc = b[..., j0:j1, :]
         if j0:
             acc = acc - l[..., j0:j1, :j0] @ out[..., :j0, :]
-        out[..., j0:j1, :] = _inv_lower_small(l[..., j0:j1, j0:j1]) @ acc
+        out[..., j0:j1, :] = np.linalg.solve(l[..., j0:j1, j0:j1], acc)
     return out
 
 
@@ -136,7 +151,7 @@ def solve_upper_conj(l: np.ndarray, b: np.ndarray) -> np.ndarray:
         acc = b[..., j0:j1, :]
         if j1 < n:
             acc = acc - _conj_t(l[..., j1:, j0:j1]) @ out[..., j1:, :]
-        out[..., j0:j1, :] = _conj_t(_inv_lower_small(l[..., j0:j1, j0:j1])) @ acc
+        out[..., j0:j1, :] = np.linalg.solve(_conj_t(l[..., j0:j1, j0:j1]), acc)
     return out
 
 

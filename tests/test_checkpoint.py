@@ -91,3 +91,14 @@ def test_short_file_rejected(tmp_path):
     bad.write_bytes(b"BR")
     with pytest.raises(FormatError):
         load_checkpoint(bad)
+
+
+def test_non_finite_blob_rejected_with_parameter_name(tmp_path):
+    net, path, _ = _trained(tmp_path)
+    raw = bytearray(path.read_bytes())
+    raw[-8:] = struct.pack("<d", float("nan"))  # last value of the last parameter
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(bytes(raw))
+    i, name, _ = net.parameters()[-1]
+    with pytest.raises(FormatError, match=f"non-finite.*{name}@{i}"):
+        load_checkpoint(bad)

@@ -3,8 +3,9 @@
 import numpy as np
 import pytest
 
-from brolip.errors import ContractError, ShapeError, SingularParameter
-from brolip.linalg import cholesky, hermitian_solve, solve_hpd
+from brolip import linalg
+from brolip.errors import ContractError, DivergedError, ShapeError, SingularParameter
+from brolip.linalg import PIVOT_REL_TOL, cholesky, hermitian_solve, solve_hpd
 from brolip.tensor import CTensor
 
 
@@ -77,7 +78,7 @@ def test_singular_parameter_carries_diagnostics():
 
 
 def test_blocked_path_matches_small_path():
-    # a size above the block threshold runs the panel/update driver
+    # a size above the solve block threshold, factored by LAPACK in one call
     rng = np.random.default_rng(2)
     n = 100
     g = rng.standard_normal((n, n + 4)) + 1j * rng.standard_normal((n, n + 4))
@@ -85,3 +86,90 @@ def test_blocked_path_matches_small_path():
     l = cholesky(a)
     np.testing.assert_allclose(np.triu(l, 1), 0, atol=0)
     np.testing.assert_allclose(l @ l.conj().T, a, atol=1e-8 * np.linalg.norm(a))
+
+
+def _panel_error(a):
+    """SingularParameter from the unblocked elimination run on its own."""
+    trace = np.einsum("...ii->...", a).real
+    with pytest.raises(SingularParameter) as info:
+        linalg._chol_panel(np.array(a, copy=True),
+                           PIVOT_REL_TOL * np.maximum(trace, 0.0), trace)
+    return info.value
+
+
+def _gram_with_pivots(rng, n, pivots):
+    """Complex L D L^H whose pivots are 1 except those given as {index: value}."""
+    l = np.tril(0.1 * (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))), -1)
+    l += np.eye(n)
+    d = np.ones(n)
+    for j, p in pivots.items():
+        d[j] = p
+    return (l * d) @ l.conj().T
+
+
+def test_batch_failure_reports_smallest_pivot_and_first_member(monkeypatch):
+    rng = np.random.default_rng(5)
+    n = 64
+    # Failing pivots sit well below 1e-12 * trace (trace ~ 100) and well
+    # above rounding noise, so the two eliminations agree on the estimate.
+    fails = {(0, 1): {50: 3e-11}, (1, 0): {50: 5e-11}, (1, 2): {20: 4e-11, 60: 1e-11}}
+    a = np.stack([np.stack([_gram_with_pivots(rng, n, fails.get((i, k), {}))
+                            for k in range(3)]) for i in range(2)])
+    panel = _panel_error(a)
+
+    def no_panel(*args):
+        raise AssertionError("the elimination runs only after LAPACK fails")
+
+    monkeypatch.setattr(linalg, "_chol_panel", no_panel)
+    with pytest.raises(SingularParameter) as info:
+        cholesky(a)
+    err = info.value
+    # smallest failing index over the batch; first member in C order there
+    assert err.pivot_index == panel.pivot_index == 20
+    trace = np.trace(a[1, 2]).real
+    np.testing.assert_allclose(err.cond_estimate, trace / 4e-11, rtol=1e-3)
+    np.testing.assert_allclose(err.cond_estimate, panel.cond_estimate, rtol=1e-3)
+
+    a[1, 2] = _gram_with_pivots(rng, n, {})
+    with pytest.raises(SingularParameter) as info:
+        cholesky(a)
+    assert info.value.pivot_index == 50
+    np.testing.assert_allclose(info.value.cond_estimate,
+                               np.trace(a[0, 1]).real / 3e-11, rtol=1e-3)
+
+
+def test_indefinite_matrix_takes_the_locator_path():
+    rng = np.random.default_rng(6)
+    n = 60
+    a = _gram_with_pivots(rng, n, {55: -1.0})
+    with pytest.raises(np.linalg.LinAlgError):
+        np.linalg.cholesky(a)
+    with pytest.raises(SingularParameter) as info:
+        cholesky(np.stack([np.eye(n), a]))
+    assert info.value.pivot_index == 55
+    assert info.value.cond_estimate == np.inf
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_non_finite_entry_is_named(bad):
+    a = np.stack([np.eye(4), 2.0 * np.eye(4)]).astype(complex)
+    a[1, 3, 2] = bad
+    a[1, 2, 3] = bad
+    with pytest.raises(DivergedError, match="non-finite") as info:
+        cholesky(a)
+    assert "row 3, column 2 of batch member (1,)" in str(info.value)
+    assert info.value.iteration == 2
+    with pytest.raises(DivergedError, match="non-finite"):
+        solve_hpd(a[1], np.ones((4, 1)))
+
+
+def test_solve_hpd_matches_dense_solve_above_block_size():
+    # n = 192 spans four diagonal blocks, each solved by LAPACK
+    rng = np.random.default_rng(8)
+    n = 192
+    g = rng.standard_normal((3, n, n + 8)) + 1j * rng.standard_normal((3, n, n + 8))
+    a = g @ np.conj(np.swapaxes(g, -1, -2))
+    b = rng.standard_normal((3, n, 5)) + 1j * rng.standard_normal((3, n, 5))
+    x = solve_hpd(a, b)
+    ref = np.linalg.solve(a, b)
+    assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
