@@ -5,7 +5,10 @@ convolutions and dense reflectors preserve norms, channel-pairwise
 max/min sorting permutes entries, patchwise l2 pooling contracts, and
 truncated reflectors are semi-orthogonal. Layer math is written against
 the twin op backends, so one implementation serves eager inference and
-taped training.
+taped training. Each layer splits into `prepare(ops, params)`, which
+builds its parameter-side operator, and `apply(ops, operator, x)`;
+`forward` is the two in sequence, and an attack on a frozen network
+prepares every operator once and records only `apply`.
 
 Inputs are batch-first; dense-style layers flatten image-shaped inputs
 implicitly. There are no bias terms anywhere: they would not change any
@@ -20,7 +23,7 @@ import numpy as np
 
 from .certify import LipschitzModel
 from .errors import ContractError
-from .ortho import ConvGeometry, conv_apply, identity_kernel
+from .ortho import ConvGeometry, conv_apply, conv_prepare, identity_kernel
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
 
@@ -48,7 +51,34 @@ def _reflector(ops, veff, m):
     return ops.sub(ops.constant(np.eye(m)), ops.scale(ops.matmul(veff, sol), 2.0))
 
 
-class BroConvLayer:
+def _constants(ops, operator):
+    """A prepared operator (None, an array, or a tuple of arrays) as constants."""
+    if operator is None:
+        return None
+    if isinstance(operator, tuple):
+        return type(operator)(*(ops.constant(a) for a in operator))
+    return ops.constant(operator)
+
+
+class _Layer:
+    """`forward` is `apply` after `prepare`; a layer without parameters
+    prepares no operator."""
+
+    def prepare(self, ops, p):
+        return None
+
+    def forward(self, ops, p, x):
+        return self.apply(ops, self.prepare(ops, p), x)
+
+
+class _Linear(_Layer):
+    """Dense-style layer whose operator is its transposed weight matrix."""
+
+    def apply(self, ops, wt, x):
+        return ops.matmul(_flatten(ops, x), wt)
+
+
+class BroConvLayer(_Layer):
     kind = "bro_conv"
     lipschitz = 1.0
 
@@ -65,13 +95,16 @@ class BroConvLayer:
             out["alpha"] = self.alpha
         return out
 
-    def forward(self, ops, p, x):
+    def prepare(self, ops, p):
         v = p["v"]
         if self.residual:
             ik = identity_kernel(*self.v.shape[:2], self.v.shape[2])
             scaled = ops.scale(ops.scale_by(v, p["alpha"]), 1.0 / self.depth_norm)
             v = ops.add(ops.constant(ik), scaled)
-        return conv_apply(ops, v, x, self.geom)
+        return conv_prepare(ops, v, self.geom)
+
+    def apply(self, ops, operator, x):
+        return conv_apply(ops, operator, x, self.geom)
 
     def out_shape(self, shape):
         c, s, _ = shape
@@ -81,7 +114,7 @@ class BroConvLayer:
         return (c, size, size)
 
 
-class BroDenseLayer:
+class BroDenseLayer(_Linear):
     kind = "bro_dense"
     lipschitz = 1.0
 
@@ -97,14 +130,13 @@ class BroDenseLayer:
             out["alpha"] = self.alpha
         return out
 
-    def forward(self, ops, p, x):
+    def prepare(self, ops, p):
         m, n = self.v.shape
         v = p["v"]
         if self.residual:
             scaled = ops.scale(ops.scale_by(v, p["alpha"]), 1.0 / self.depth_norm)
             v = ops.add(ops.constant(np.eye(m, n)), scaled)
-        w = _reflector(ops, v, m)
-        return ops.matmul(_flatten(ops, x), ops.transpose(w, (1, 0)))
+        return ops.transpose(_reflector(ops, v, m), (1, 0))
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.v.shape[0]:
@@ -112,7 +144,7 @@ class BroDenseLayer:
         return (self.v.shape[0],)
 
 
-class SemiOrthoLayer:
+class SemiOrthoLayer(_Linear):
     kind = "semi_ortho"
     lipschitz = 1.0
 
@@ -126,11 +158,9 @@ class SemiOrthoLayer:
     def params(self):
         return {"v": self.v}
 
-    def forward(self, ops, p, x):
-        c = self.v.shape[0]
-        w = _reflector(ops, p["v"], c)
-        w = ops.slice2d(w, self.d_out, self.d_in)
-        return ops.matmul(_flatten(ops, x), ops.transpose(w, (1, 0)))
+    def prepare(self, ops, p):
+        w = _reflector(ops, p["v"], self.v.shape[0])
+        return ops.transpose(ops.slice2d(w, self.d_out, self.d_in), (1, 0))
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.d_in:
@@ -139,14 +169,14 @@ class SemiOrthoLayer:
         return (self.d_out,)
 
 
-class MaxMinLayer:
+class MaxMinLayer(_Layer):
     kind = "maxmin"
     lipschitz = 1.0
 
     def params(self):
         return {}
 
-    def forward(self, ops, p, x):
+    def apply(self, ops, operator, x):
         return ops.maxmin(x, axis=1)
 
     def out_shape(self, shape):
@@ -155,7 +185,7 @@ class MaxMinLayer:
         return shape
 
 
-class L2PoolLayer:
+class L2PoolLayer(_Layer):
     kind = "l2_pool"
     lipschitz = 1.0
 
@@ -165,7 +195,7 @@ class L2PoolLayer:
     def params(self):
         return {}
 
-    def forward(self, ops, p, x):
+    def apply(self, ops, operator, x):
         return ops.l2_pool(x, self.patch)
 
     def out_shape(self, shape):
@@ -175,7 +205,7 @@ class L2PoolLayer:
         return (c, s // self.patch, s // self.patch)
 
 
-class LLNHead:
+class LLNHead(_Linear):
     """Classification head whose weight rows are unit-normalized on use."""
 
     kind = "lln_head"
@@ -187,9 +217,8 @@ class LLNHead:
     def params(self):
         return {"w": self.w}
 
-    def forward(self, ops, p, x):
-        wn = ops.row_normalize(p["w"])
-        return ops.matmul(_flatten(ops, x), ops.transpose(wn, (1, 0)))
+    def prepare(self, ops, p):
+        return ops.transpose(ops.row_normalize(p["w"]), (1, 0))
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.w.shape[1]:
@@ -259,16 +288,33 @@ class Network:
             cur = layer.forward(EagerOps, layer.params(), cur)
         return cur
 
-    def forward_tape(self, tape: Tape, x, train_params: bool = True):
-        """Recorded forward; returns (logits, input var, {(i, name): var})."""
+    def prepare(self) -> list:
+        """Every layer's operator, built eagerly from the current parameters."""
+        return [layer.prepare(EagerOps, layer.params()) for layer in self.layers]
+
+    def forward_tape(self, tape: Tape, x, frozen=None):
+        """Recorded forward; returns (logits, input var, {(i, name): var}).
+
+        Without `frozen`, every parameter is a grad-requiring leaf and the
+        input a constant. `frozen` is a `prepare()` result: the input is
+        then the only grad leaf, the operators enter as constants, the
+        tape records only the input side and the dict is empty.
+        """
         ops = TapeOps(tape)
-        x_var = tape.leaf(self._coerce_batch(x), requires_grad=not train_params)
+        x_var = tape.leaf(self._coerce_batch(x), requires_grad=frozen is not None)
         param_vars: dict[tuple[int, str], Var] = {}
         cur = x_var
+        if frozen is not None:
+            if len(frozen) != len(self.layers):
+                raise ContractError(f"{len(frozen)} prepared operators for "
+                                    f"{len(self.layers)} layers")
+            for layer, operator in zip(self.layers, frozen):
+                cur = layer.apply(ops, _constants(ops, operator), cur)
+            return cur, x_var, param_vars
         for i, layer in enumerate(self.layers):
             bound = {}
             for name, arr in layer.params().items():
-                var = tape.leaf(arr, requires_grad=train_params)
+                var = tape.leaf(arr)
                 param_vars[(i, name)] = var
                 bound[name] = var
             cur = layer.forward(ops, bound, cur)

@@ -17,6 +17,7 @@ for the FFT path.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -146,43 +147,69 @@ def identity_residual(kernel: BroConvKernel) -> Tensor:
     return Tensor(ik + (kernel.alpha / kernel.depth_norm) * kernel.v)
 
 
+class ConvOperator(NamedTuple):
+    """Parameter side of an orthogonal convolution, per spatial frequency.
+
+    `vf` is the kernel spectrum, (p^2, c, n) over the padded p x p grid,
+    `vh` its conjugate transpose and `gram` = vh @ vf. An eagerly prepared
+    operator also carries the Gram's Cholesky factor, so applying it never
+    refactors; a recorded one leaves `factor` None and factors inside the
+    taped solve.
+    """
+
+    vf: object
+    vh: object
+    gram: object
+    factor: object = None
+
+
+def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
+    """The per-frequency operator of the kernel `v_eff` (c, n, k, k)."""
+    size = geom.padded_size
+    c = geom.channels_in
+    k = geom.kernel
+    n = ops.value(v_eff).shape[1]
+    vp = ops.pad_last2(v_eff, 0, size - k) if size > k else v_eff
+    vf = ops.reshape(ops.transpose(ops.fft2(vp), (2, 3, 0, 1)), (size * size, c, n))
+    vh = ops.conj(ops.transpose(vf, (0, 2, 1)))
+    gram = ops.matmul(vh, vf)
+    factor = None if ops.recording else linalg.cholesky(gram)
+    return ConvOperator(vf, vh, gram, factor)
+
+
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     """Orthogonal circular convolution of a batched input, backend-generic.
 
-    `x` is (B, c, s, s) and `v_eff` is (c, n, k, k); both are backend values
-    (ndarrays for the eager backend, tape variables when recording). The
-    parameterization is applied per spatial frequency on the channel axis.
+    `x` is (B, c, s, s) and `v_eff` is either the kernel (c, n, k, k) or the
+    `ConvOperator` that `conv_prepare` built from it; both are backend
+    values (ndarrays for the eager backend, tape variables when recording).
+    The parameterization is applied per spatial frequency on the channel
+    axis. The output's imaginary residue, linear in `x`, must stay below
+    CONV_IMAG_TOL * max(1, max|x|).
     """
+    op = v_eff if isinstance(v_eff, ConvOperator) else conv_prepare(ops, v_eff, geom)
     kp = geom.half_pad
     size = geom.padded_size
     c = geom.channels_in
-    batch = ops.value(x).shape[0]
-    k = geom.kernel
-    n = ops.value(v_eff).shape[1]
+    xv = ops.value(x)
+    batch = xv.shape[0]
 
     xp = ops.pad_last2(x, kp, kp) if kp else x
-    vp = ops.pad_last2(v_eff, 0, size - k) if size > k else v_eff
+    xf = ops.reshape(ops.transpose(ops.fft2(xp), (2, 3, 1, 0)), (size * size, c, batch))
 
-    xf = ops.fft2(xp)
-    vf = ops.fft2(vp)
-
-    xf = ops.reshape(ops.transpose(xf, (2, 3, 1, 0)), (size * size, c, batch))
-    vf = ops.reshape(ops.transpose(vf, (2, 3, 0, 1)), (size * size, c, n))
-    vh = ops.conj(ops.transpose(vf, (0, 2, 1)))
-
-    gram = ops.matmul(vh, vf)
-    rhs = ops.matmul(vh, xf)
-    sol = ops.solve_h(gram, rhs)
-    yf = ops.sub(xf, ops.scale(ops.matmul(vf, sol), 2.0))
+    rhs = ops.matmul(op.vh, xf)
+    sol = ops.solve_h(op.gram, rhs, op.factor)
+    yf = ops.sub(xf, ops.scale(ops.matmul(op.vf, sol), 2.0))
 
     yf = ops.transpose(ops.reshape(yf, (size, size, c, batch)), (3, 2, 0, 1))
     y = ops.ifft2(yf)
 
     imag = np.abs(ops.value(y).imag)
     worst = float(imag.max()) if imag.size else 0.0
-    if worst > CONV_IMAG_TOL:
+    tol = CONV_IMAG_TOL * max(1.0, float(np.abs(xv).max()) if xv.size else 0.0)
+    if worst > tol:
         raise ContractError(
-            f"imaginary residue {worst:.3e} exceeds {CONV_IMAG_TOL:.1e}; "
+            f"imaginary residue {worst:.3e} exceeds {tol:.1e}; "
             "parameterization should produce a real output")
     y = ops.real(y)
     if not geom.keep_padding and kp:

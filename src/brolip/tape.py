@@ -1,8 +1,11 @@
 """Minimal reverse-mode differentiation tape.
 
 Nodes are appended in execution order, each saving its forward value and a
-vector-Jacobian closure; the backward pass is a single reverse sweep that
-visits every node at most once. Values are float64 or complex128 ndarrays.
+vector-Jacobian closure. A node requires grad when any of its inputs does;
+the backward pass is a single reverse sweep that visits every node at most
+once, skips nodes without a grad-requiring input, and propagates no
+cotangent into an input that does not require grad. Values are float64 or
+complex128 ndarrays.
 Complex cotangents follow the real-pairing convention (d/d re + i d/d im),
 under which the adjoint of a complex-linear map is its conjugate transpose;
 with that convention the same matmul/solve rules cover both dtypes.
@@ -31,6 +34,10 @@ class Var:
     def value(self) -> np.ndarray:
         return self.tape.nodes[self.idx].value
 
+    @property
+    def requires_grad(self) -> bool:
+        return self.tape.nodes[self.idx].requires_grad
+
 
 class _Node:
     __slots__ = ("op", "value", "inputs", "vjp", "requires_grad")
@@ -55,10 +62,24 @@ class Tape:
             arr = np.ascontiguousarray(arr)
         return self._append("leaf", arr, (), None, requires_grad)
 
-    def _append(self, op, value, inputs, vjp, requires_grad=True) -> Var:
+    def constant(self, value) -> Var:
+        """A leaf that requires no grad, holding `value` as given.
+
+        Unlike `leaf`, it makes no contiguous copy: an operator prepared
+        eagerly keeps its memory layout, and with it the exact bits BLAS
+        returns for it, which a contiguous copy can change.
+        """
+        return self._append("leaf", np.asarray(value), (), None, False)
+
+    def _append(self, op, value, inputs, vjp, requires_grad=False) -> Var:
         record_alloc(value.size)
-        self.nodes.append(_Node(op, value, inputs, vjp, requires_grad))
-        return Var(self, len(self.nodes) - 1)
+        nodes = self.nodes
+        for j in inputs:
+            if nodes[j].requires_grad:
+                requires_grad = True
+                break
+        nodes.append(_Node(op, value, inputs, vjp, requires_grad))
+        return Var(self, len(nodes) - 1)
 
     def backward(self, out: Var, seed=None) -> dict[int, np.ndarray]:
         """Cotangents of every grad-requiring leaf, keyed by node index."""
@@ -68,19 +89,21 @@ class Tape:
             if out.value.shape != ():
                 raise ContractError("backward without a seed needs a scalar output")
             seed = np.ones((), dtype=np.float64)
+        nodes = self.nodes
         grads: dict[int, np.ndarray] = {out.idx: np.asarray(seed)}
         leaf_grads: dict[int, np.ndarray] = {}
         for i in range(out.idx, -1, -1):
             g = grads.pop(i, None)
             if g is None:
                 continue
-            node = self.nodes[i]
+            node = nodes[i]
+            if not node.requires_grad:
+                continue
             if node.vjp is None:
-                if node.requires_grad:
-                    leaf_grads[i] = g
+                leaf_grads[i] = g
                 continue
             for j, gj in zip(node.inputs, node.vjp(g)):
-                if gj is None:
+                if gj is None or not nodes[j].requires_grad:
                     continue
                 if j in grads:
                     grads[j] = grads[j] + gj
@@ -148,8 +171,14 @@ def t_matmul(a: Var, b: Var) -> Var:
         raise ContractError(
             f"matmul needs matching batch dims, got {av.shape} @ {bv.shape}")
 
+    # flags, not the variables: a closure holding a Var would make the tape
+    # a reference cycle that only the cyclic garbage collector frees
+    a_grad, b_grad = a.requires_grad, b.requires_grad
+
     def vjp(g):
-        return g @ np.conj(_swap(bv)), np.conj(_swap(av)) @ g
+        ga = g @ np.conj(_swap(bv)) if a_grad else None
+        gb = np.conj(_swap(av)) @ g if b_grad else None
+        return ga, gb
 
     return a.tape._append("matmul", av @ bv, (a.idx, b.idx), vjp)
 
@@ -222,14 +251,24 @@ def t_ifft2(a: Var) -> Var:
     return a.tape._append("ifft2", fft.ifft2(a.value), (a.idx,), vjp)
 
 
-def t_solve_h(a: Var, b: Var) -> Var:
-    """Solve a x = b for Hermitian positive-definite a (batched)."""
-    factor = linalg.cholesky(a.value)
-    x = linalg.solve_upper_conj(factor, linalg.solve_lower(factor, b.value))
+def t_solve_h(a: Var, b: Var, factor: Var | None = None) -> Var:
+    """Solve a x = b for Hermitian positive-definite a (batched).
+
+    `factor`, the Cholesky factor of a frozen `a`, replaces refactoring;
+    it is rejected when `a` requires grad.
+    """
+    a_grad = a.requires_grad
+    if factor is None:
+        l = linalg.cholesky(a.value)
+    elif a_grad:
+        raise ContractError("a precomputed factor needs a matrix that requires no grad")
+    else:
+        l = factor.value
+    x = linalg.solve_upper_conj(l, linalg.solve_lower(l, b.value))
 
     def vjp(g):
-        gb = linalg.solve_upper_conj(factor, linalg.solve_lower(factor, g))
-        ga = -gb @ np.conj(_swap(x))
+        gb = linalg.solve_upper_conj(l, linalg.solve_lower(l, g))
+        ga = -gb @ np.conj(_swap(x)) if a_grad else None
         return ga, gb
 
     return a.tape._append("solve_h", x, (a.idx, b.idx), vjp)
@@ -435,8 +474,8 @@ class EagerOps:
         return fft.ifft2(a)
 
     @staticmethod
-    def solve_h(a, b):
-        return linalg.solve_hpd(a, b)
+    def solve_h(a, b, factor=None):
+        return linalg.solve_hpd(a, b, factor)
 
     @staticmethod
     def maxmin(a, axis):
@@ -468,7 +507,7 @@ class TapeOps:
         self.tape = tape
 
     def constant(self, a):
-        return self.tape.leaf(a, requires_grad=False)
+        return self.tape.constant(a)
 
     def add(self, a, b):
         return t_add(a, b)
@@ -509,8 +548,8 @@ class TapeOps:
     def ifft2(self, a):
         return t_ifft2(a)
 
-    def solve_h(self, a, b):
-        return t_solve_h(a, b)
+    def solve_h(self, a, b, factor=None):
+        return t_solve_h(a, b, factor)
 
     def maxmin(self, a, axis):
         return t_maxmin(a, axis)

@@ -157,10 +157,12 @@ def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
     Batched: `x` is (B, ...) or a single sample, `t` the true labels. Steps
     of size 2.5 * radius / steps walk against the margin gradient, each
     followed by projection onto the radius ball; the returned perturbation
-    never exceeds the radius.
+    never exceeds the radius. The parameters are frozen: every layer's
+    operator is prepared once per call, and each step records only the
+    input side on its tape.
     """
-    if radius < 0:
-        raise ContractError("radius must be non-negative")
+    if not (math.isfinite(radius) and radius >= 0):
+        raise ContractError(f"radius must be finite and non-negative, got {radius}")
     arr = net._coerce_batch(x)
     single = as_real_array(x).ndim == len(net.input_shape)
     labels = np.atleast_1d(np.asarray(t, dtype=np.int64))
@@ -169,9 +171,10 @@ def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
     step = 2.5 * radius / steps
     flatdims = tuple(range(1, arr.ndim))
     delta = np.zeros_like(arr)
+    frozen = net.prepare()
     for _ in range(steps):
         tape = Tape()
-        logits, x_var, _ = net.forward_tape(tape, arr + delta, train_params=False)
+        logits, x_var, _ = net.forward_tape(tape, arr + delta, frozen)
         obj = t_custom_scalar(logits, lambda z: _margin_sum(z, labels), name="margin_sum")
         grad = tape.backward(obj).get(x_var.idx)
         if grad is None:

@@ -6,7 +6,7 @@ import pytest
 from brolip.errors import ContractError, ShapeError, SingularParameter
 from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
                           conv_apply, materialize_conv_matrix)
-from brolip.tape import Tape, TapeOps, t_mul, t_sum, grad_check
+from brolip.tape import EagerOps, Tape, TapeOps, t_mul, t_sum, grad_check
 
 
 def _kernel(c, n, k, seed):
@@ -177,3 +177,23 @@ def test_tape_and_eager_paths_agree():
     ops = TapeOps(tape)
     taped = conv_apply(ops, tape.leaf(kern.v), tape.leaf(x), geom)
     np.testing.assert_array_equal(eager, taped.value)
+
+
+def test_imaginary_residue_gate_scales_with_the_input():
+    # the residue is linear in x: about 3e-9 at 1e6 and 3e-7 at 1e8 here,
+    # which an absolute 1e-9 gate rejected although the conv is orthogonal
+    rng = np.random.default_rng(21)
+    v = rng.standard_normal((8, 2, 3, 3)) / np.sqrt(8)
+    x = 1e8 * rng.standard_normal((2, 8, 8, 8))
+    geom = ConvGeometry(8, 8, 8, 3, keep_padding=True)
+    y = conv_apply(EagerOps, v, x, geom)
+    ratio = np.linalg.norm(y.reshape(2, -1), axis=1) / np.linalg.norm(x.reshape(2, -1), axis=1)
+    np.testing.assert_allclose(ratio, 1.0, rtol=1e-12)
+
+
+def test_complex_kernel_still_fails_the_residue_gate():
+    rng = np.random.default_rng(22)
+    v = rng.standard_normal((4, 2, 3, 3)) + 1j * rng.standard_normal((4, 2, 3, 3))
+    x = rng.standard_normal((2, 4, 4, 4))
+    with pytest.raises(ContractError, match="imaginary residue"):
+        conv_apply(EagerOps, v, x, ConvGeometry(4, 4, 4, 3, keep_padding=True))

@@ -5,6 +5,7 @@ import math
 import numpy as np
 import pytest
 
+from brolip import linalg
 from brolip.errors import ContractError
 from brolip.tape import (Tape, grad_check, t_custom_scalar, t_l2_pool, t_matmul,
                          t_maxmin, t_mul, t_row_normalize, t_scale_by,
@@ -127,3 +128,34 @@ def test_distinct_tapes_do_not_mix():
     x1 = t1.leaf(np.asarray(1.0))
     with pytest.raises(ContractError):
         t2.backward(x1)
+
+
+def test_vjp_on_a_branch_without_grad_leaves_is_never_called():
+    def boom(g):
+        raise AssertionError("VJP of a frozen branch was called")
+
+    tape = Tape()
+    frozen = tape.leaf(np.ones(3), requires_grad=False)
+    param = tape.leaf(np.full(3, 2.0))
+    branch = tape._append("frozen_branch", 3.0 * frozen.value, (frozen.idx,), boom)
+    assert not branch.requires_grad and param.requires_grad
+    out = t_sum(t_mul(branch, param))
+    grads = tape.backward(out)
+    assert set(grads) == {param.idx}
+    np.testing.assert_array_equal(grads[param.idx], np.full(3, 3.0))
+
+
+def test_solve_h_reuses_a_frozen_factor_and_rejects_it_for_a_grad_matrix():
+    rng = np.random.default_rng(7)
+    m = rng.standard_normal((5, 3))
+    a0, b0 = m.T @ m, rng.standard_normal((3, 2))
+    tape = Tape()
+    a = tape.leaf(a0, requires_grad=False)
+    b = tape.leaf(b0)
+    factor = tape.constant(linalg.cholesky(a0))
+    reused, fresh = t_solve_h(a, b, factor), t_solve_h(a, b)
+    assert np.array_equal(reused.value, fresh.value)
+    g_reused = tape.backward(t_sum(reused))[b.idx]
+    assert np.array_equal(g_reused, tape.backward(t_sum(fresh))[b.idx])
+    with pytest.raises(ContractError):
+        t_solve_h(tape.leaf(a0), b, factor)

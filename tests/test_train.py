@@ -156,6 +156,11 @@ class TestPgdAttack:
         with pytest.raises(ContractError):
             pgd_attack(_mini_net(), np.zeros((2, 4, 4)), 0, -1.0, 5)
 
+    @pytest.mark.parametrize("radius", [float("nan"), float("inf")])
+    def test_non_finite_radius_rejected(self, radius):
+        with pytest.raises(ContractError, match="finite"):
+            pgd_attack(_mini_net(), np.zeros((2, 4, 4)), 0, radius, 5)
+
 
 class TestMarginShaping:
     @pytest.mark.parametrize("seed,data_seed", [(0, 100), (2, 102)])
