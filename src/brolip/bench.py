@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError
-from .fft import fft2, ifft2
+from .fft import fft2, ifft2, tap_dft
 from .ortho import block_reflector, cayley_orthogonalize, lot_orthogonalize
 from .tensor import alloc_stats, reset_alloc_stats
 
@@ -52,14 +52,16 @@ class BenchResult:
         return ",".join(cells)
 
 
-def _kernel_freq(v: np.ndarray, s: int) -> np.ndarray:
-    """FFT of a spatial kernel, laid out frequency-major (S^2, c, n)."""
+def _kernel_freq(v: np.ndarray, s: int, rows: np.ndarray) -> np.ndarray:
+    """Unitary DFT of a spatial kernel at the flat frequencies `rows`.
+
+    Laid out frequency-major (len(rows), c, n) over the padded grid, built
+    from the k x k taps as `ortho.conv_prepare` does.
+    """
     c, n, k, _ = v.shape
     size = s + 2 * (k // 2)
-    pad = np.zeros((c, n, size, size))
-    pad[:, :, :k, :k] = v
-    vf = fft2(pad)
-    return vf.transpose(2, 3, 0, 1).reshape(size * size, c, n)
+    taps = v.transpose(2, 3, 0, 1).reshape(k * k, c * n)
+    return (tap_dft(size, k)[rows] @ taps).reshape(rows.size, c, n)
 
 
 def _half_plane(size: int):
@@ -97,7 +99,7 @@ def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     c = v.shape[0]
     size = s + 2 * (v.shape[2] // 2)
     rep, partner = _half_plane(size)
-    vf = _kernel_freq(v, s)[rep]
+    vf = _kernel_freq(v, s, rep)
     vh = np.conj(np.swapaxes(vf, -1, -2))
     l = linalg.cholesky(vh @ vf)
     b = linalg.solve_lower(l, vh)
@@ -110,7 +112,7 @@ def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     c = v.shape[0]
     size = s + 2 * (v.shape[2] // 2)
     rep, partner = _half_plane(size)
-    a = _kernel_freq(v, s)[rep]
+    a = _kernel_freq(v, s, rep)
     a = 0.5 * (a - np.conj(np.swapaxes(a, -1, -2)))
     eye = np.eye(c)[None]
     spd = eye - a @ a
@@ -122,7 +124,7 @@ def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
     """Per-frequency Newton orthogonalization (batched over frequencies)."""
     size = s + 2 * (v.shape[2] // 2)
     rep, partner = _half_plane(size)
-    vf = _kernel_freq(v, s)[rep]
+    vf = _kernel_freq(v, s, rep)
     vh = np.conj(np.swapaxes(vf, -1, -2))
     gram = vh @ vf
     fro = np.linalg.norm(gram, axis=(-2, -1), keepdims=True)

@@ -30,6 +30,28 @@ def _dft_matrix(n: int) -> np.ndarray:
     return mat
 
 
+_tap_dft_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def tap_dft(p: int, k: int) -> np.ndarray:
+    """Unitary p x p 2D DFT restricted to a top-left k x k support.
+
+    A (p^2, k^2) read-only matrix: row u*p + v, column a*k + b holds
+    exp(-2i*pi*(u*a + v*b)/p) / p. For x of shape (k, k, ...),
+    `tap_dft(p, k) @ x.reshape(k*k, -1)` is the `fft2` of x zero-padded to
+    p x p over its leading two axes, laid out frequency-major (p^2, ...).
+    """
+    key = (p, k)
+    mat = _tap_dft_cache.get(key)
+    if mat is None:
+        j = np.arange(p)
+        cols = np.exp((-2j * np.pi / p) * (np.outer(j, j[:k]) % p))
+        mat = np.kron(cols, cols) / p
+        mat.flags.writeable = False
+        _tap_dft_cache[key] = mat
+    return mat
+
+
 def _smallest_prime_factor(n: int) -> int:
     if n % 2 == 0:
         return 2

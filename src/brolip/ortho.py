@@ -5,6 +5,8 @@ built from an unconstrained low-rank parameter V: W is symmetric, orthogonal,
 and involutory, with n eigenvalues -1 and m-n eigenvalues +1. The
 convolutional variant applies the same formula per spatial frequency after a
 2D FFT, which yields a real, orthogonal multi-channel circular convolution.
+Only the input goes through the FFT: the kernel's spectrum is the DFT of its
+k x k taps, one matmul with the tap DFT matrix in frequency-major layout.
 
 Two competing constructions are provided for comparison: the Cayley
 transform of a skew-symmetrized parameter, and the Newton-iteration polar
@@ -23,7 +25,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
-from .fft import fft2, ifft2
+from .fft import fft2, ifft2, tap_dft
 from .tensor import Tensor, as_real_array
 from .tape import EagerOps
 
@@ -151,7 +153,8 @@ class ConvOperator(NamedTuple):
     """Parameter side of an orthogonal convolution, per spatial frequency.
 
     `vf` is the kernel spectrum, (p^2, c, n) over the padded p x p grid,
-    `vh` its conjugate transpose and `gram` = vh @ vf. An eagerly prepared
+    computed by `conv_prepare` straight from the k x k taps; `vh` is its
+    conjugate transpose and `gram` = vh @ vf. An eagerly prepared
     operator also carries the Gram's Cholesky factor, so applying it never
     refactors; a recorded one leaves `factor` None and factors inside the
     taped solve.
@@ -164,13 +167,19 @@ class ConvOperator(NamedTuple):
 
 
 def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
-    """The per-frequency operator of the kernel `v_eff` (c, n, k, k)."""
+    """The per-frequency operator of the kernel `v_eff` (c, n, k, k).
+
+    The spectrum is one matmul of the cached tap DFT `tap_dft(p, k)`
+    (p^2, k^2) with the kernel's taps laid out (k^2, c n): it equals the
+    unitary `fft2` of the kernel zero-padded to p x p, already
+    frequency-major, without the pad, the p x p transform or a layout copy.
+    """
     size = geom.padded_size
     c = geom.channels_in
     k = geom.kernel
     n = ops.value(v_eff).shape[1]
-    vp = ops.pad_last2(v_eff, 0, size - k) if size > k else v_eff
-    vf = ops.reshape(ops.transpose(ops.fft2(vp), (2, 3, 0, 1)), (size * size, c, n))
+    taps = ops.reshape(ops.transpose(v_eff, (2, 3, 0, 1)), (k * k, c * n))
+    vf = ops.reshape(ops.matmul(ops.constant(tap_dft(size, k)), taps), (size * size, c, n))
     vh = ops.conj(ops.transpose(vf, (0, 2, 1)))
     gram = ops.matmul(vh, vf)
     factor = None if ops.recording else linalg.cholesky(gram)

@@ -8,7 +8,8 @@ cotangent into an input that does not require grad. Values are float64 or
 complex128 ndarrays.
 Complex cotangents follow the real-pairing convention (d/d re + i d/d im),
 under which the adjoint of a complex-linear map is its conjugate transpose;
-with that convention the same matmul/solve rules cover both dtypes.
+with that convention the same matmul/solve rules cover both dtypes. A real
+operand of a complex result (fft2, ifft2, matmul) gets the real part.
 
 A tape instance is single-threaded; independent tapes may run in parallel.
 """
@@ -127,6 +128,11 @@ def _swap(a):
     return np.swapaxes(a, -1, -2)
 
 
+def _cotangent(g, real_input):
+    """The cotangent of an input: its real part when the input is real."""
+    return np.ascontiguousarray(g.real) if real_input else g
+
+
 def t_add(a: Var, b: Var) -> Var:
     return a.tape._append("add", a.value + b.value, (a.idx, b.idx),
                           lambda g: (g, g))
@@ -174,10 +180,11 @@ def t_matmul(a: Var, b: Var) -> Var:
     # flags, not the variables: a closure holding a Var would make the tape
     # a reference cycle that only the cyclic garbage collector frees
     a_grad, b_grad = a.requires_grad, b.requires_grad
+    a_real, b_real = av.dtype != np.complex128, bv.dtype != np.complex128
 
     def vjp(g):
-        ga = g @ np.conj(_swap(bv)) if a_grad else None
-        gb = np.conj(_swap(av)) @ g if b_grad else None
+        ga = _cotangent(g @ np.conj(_swap(bv)), a_real) if a_grad else None
+        gb = _cotangent(np.conj(_swap(av)) @ g, b_real) if b_grad else None
         return ga, gb
 
     return a.tape._append("matmul", av @ bv, (a.idx, b.idx), vjp)
@@ -235,8 +242,7 @@ def t_fft2(a: Var) -> Var:
     real_input = a.value.dtype != np.complex128
 
     def vjp(g):
-        back = fft.ifft2(g)
-        return (np.ascontiguousarray(back.real) if real_input else back,)
+        return (_cotangent(fft.ifft2(g), real_input),)
 
     return a.tape._append("fft2", fft.fft2(a.value), (a.idx,), vjp)
 
@@ -245,8 +251,7 @@ def t_ifft2(a: Var) -> Var:
     real_input = a.value.dtype != np.complex128
 
     def vjp(g):
-        back = fft.fft2(g)
-        return (np.ascontiguousarray(back.real) if real_input else back,)
+        return (_cotangent(fft.fft2(g), real_input),)
 
     return a.tape._append("ifft2", fft.ifft2(a.value), (a.idx,), vjp)
 

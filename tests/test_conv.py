@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from brolip.errors import ContractError, ShapeError, SingularParameter
+from brolip.fft import fft2
 from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
-                          conv_apply, materialize_conv_matrix)
+                          conv_apply, conv_prepare, materialize_conv_matrix)
 from brolip.tape import EagerOps, Tape, TapeOps, t_mul, t_sum, grad_check
 
 
@@ -110,12 +111,11 @@ def test_kernel_one_keep_padding_equivalence():
     np.testing.assert_array_equal(a, b)
 
 
-def test_gradient_matches_finite_differences():
-    c, s, k, n = 2, 3, 3, 1
+def _kernel_grad_error(c, s, k, n, batch, seed):
     geom = ConvGeometry(c, c, s, k, keep_padding=False)
-    rng = np.random.default_rng(14)
-    x = rng.standard_normal((1, c, s, s))
-    readout = rng.standard_normal((1, c, s, s))
+    rng = np.random.default_rng(seed)
+    x = rng.standard_normal((batch, c, s, s))
+    readout = rng.standard_normal((batch, c, s, s))
 
     def f(v):
         tape = v.tape
@@ -126,7 +126,39 @@ def test_gradient_matches_finite_differences():
         return t_sum(t_mul(y, r))
 
     v0 = rng.standard_normal((c, n, k, k))
-    assert grad_check(f, v0, h=1e-6) < 1e-5
+    return grad_check(f, v0, h=1e-6)
+
+
+def test_gradient_matches_finite_differences():
+    assert _kernel_grad_error(c=2, s=3, k=3, n=1, batch=1, seed=14) < 1e-5
+
+
+def test_gradient_matches_finite_differences_at_kernel_size_five():
+    assert _kernel_grad_error(c=3, s=4, k=5, n=2, batch=2, seed=32) < 1e-5
+
+
+def _padded_fft_spectrum(v, size):
+    # the zero-pad + fft2 + transpose construction the tap DFT replaces
+    c, n, k, _ = v.shape
+    vp = np.zeros((c, n, size, size), dtype=v.dtype)
+    vp[:, :, :k, :k] = v
+    return fft2(vp).transpose(2, 3, 0, 1).reshape(size * size, c, n)
+
+
+@pytest.mark.parametrize("c, n, k, s, complex_kernel", [
+    (3, 2, 1, 4, False), (3, 2, 1, 5, False), (4, 2, 3, 4, False),
+    (4, 3, 3, 5, False), (3, 2, 5, 3, False), (3, 1, 5, 4, False),
+    (4, 2, 3, 5, True)])
+def test_tap_spectrum_matches_the_padded_fft(c, n, k, s, complex_kernel):
+    rng = np.random.default_rng(30 + k + s)
+    v = rng.standard_normal((c, n, k, k))
+    if complex_kernel:
+        v = v + 1j * rng.standard_normal((c, n, k, k))
+    geom = ConvGeometry(c, c, s, k)
+    vf = conv_prepare(EagerOps, v, geom).vf
+    oracle = _padded_fft_spectrum(v, geom.padded_size)
+    assert vf.shape == oracle.shape
+    np.testing.assert_allclose(vf, oracle, rtol=0, atol=1e-14)
 
 
 def test_gradient_wrt_input_matches_finite_differences():

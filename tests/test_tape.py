@@ -7,9 +7,9 @@ import pytest
 
 from brolip import linalg
 from brolip.errors import ContractError
-from brolip.tape import (Tape, grad_check, t_custom_scalar, t_l2_pool, t_matmul,
-                         t_maxmin, t_mul, t_row_normalize, t_scale_by,
-                         t_slice2d, t_solve_h, t_sum, t_transpose,
+from brolip.tape import (Tape, grad_check, t_conj, t_custom_scalar, t_l2_pool,
+                         t_matmul, t_maxmin, t_mul, t_real, t_row_normalize,
+                         t_scale_by, t_slice2d, t_solve_h, t_sum, t_transpose,
                          tape_backward)
 
 
@@ -30,6 +30,26 @@ def test_matmul_sum_gradient_is_column_sums():
     out = t_sum(t_matmul(wv, x))
     g = tape.backward(out)[x.idx]
     np.testing.assert_allclose(g[:, 0], w.sum(axis=0), atol=1e-12)
+
+
+@pytest.mark.parametrize("real_on_left", [False, True])
+def test_matmul_gives_a_real_operand_a_real_cotangent(real_on_left):
+    rng = np.random.default_rng(4)
+    k = rng.standard_normal((5, 3)) + 1j * rng.standard_normal((5, 3))
+    if real_on_left:
+        k = k.T.copy()
+
+    def f(x):
+        kv = x.tape.constant(k)
+        y = t_matmul(x, kv) if real_on_left else t_matmul(kv, x)
+        return t_sum(t_real(t_mul(y, t_conj(y))))
+
+    x0 = rng.standard_normal((2, 3) if real_on_left else (3, 2))
+    assert grad_check(f, x0, h=1e-6) < 1e-8
+    tape = Tape()
+    leaf = tape.leaf(x0)
+    g = tape.backward(f(leaf))[leaf.idx]
+    assert g.dtype == np.float64 and g.flags["C_CONTIGUOUS"]
 
 
 def test_non_scalar_output_rejected():
