@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError
-from .fft import fft2, ifft2, tap_dft
+from .fft import HalfPlane, fft2, half_plane, half_tap_dft, ifft2
 from .ortho import block_reflector, cayley_orthogonalize, lot_orthogonalize
 from .tensor import alloc_stats, reset_alloc_stats
 
@@ -52,41 +52,19 @@ class BenchResult:
         return ",".join(cells)
 
 
-def _kernel_freq(v: np.ndarray, s: int, rows: np.ndarray) -> np.ndarray:
-    """Unitary DFT of a spatial kernel at the flat frequencies `rows`.
+def _kernel_freq(v: np.ndarray, s: int) -> tuple[HalfPlane, np.ndarray]:
+    """Unitary DFT of a spatial kernel at the half-plane representatives.
 
-    Laid out frequency-major (len(rows), c, n) over the padded grid, built
-    from the k x k taps as `ortho.conv_prepare` does.
+    Laid out frequency-major (m, c, n) over the padded grid, built from the
+    k x k taps as `ortho.conv_prepare` does, and returned with the grid's
+    tables. A real kernel satisfies V~(-f) = conj(V~(f)), so any transform
+    equivariant under conjugation only needs these rows; the tables'
+    `mirror` restores the full grid.
     """
     c, n, k, _ = v.shape
     size = s + 2 * (k // 2)
     taps = v.transpose(2, 3, 0, 1).reshape(k * k, c * n)
-    return (tap_dft(size, k)[rows] @ taps).reshape(rows.size, c, n)
-
-
-def _half_plane(size: int):
-    """Representative frequencies under f <-> -f conjugate pairing.
-
-    Returns (rep_idx, partner_of_all) as flat indices into the size*size
-    grid: a real spatial kernel satisfies V~(-f) = conj(V~(f)), so any
-    transform equivariant under conjugation only needs the representatives.
-    """
-    i, j = np.divmod(np.arange(size * size), size)
-    partner = ((-i) % size) * size + ((-j) % size)
-    rep = np.flatnonzero(np.arange(size * size) <= partner)
-    return rep, partner
-
-
-def _mirror(full_count: int, rep: np.ndarray, partner: np.ndarray,
-            values: np.ndarray) -> np.ndarray:
-    """Scatter per-representative matrices back to the full grid."""
-    out = np.empty((full_count,) + values.shape[1:], dtype=values.dtype)
-    out[rep] = values
-    pos = np.full(full_count, -1)
-    pos[rep] = np.arange(rep.size)
-    rest = np.flatnonzero(pos < 0)
-    out[rest] = np.conj(values[pos[partner[rest]]])
-    return out
+    return half_plane(size), (half_tap_dft(size, k) @ taps).reshape(-1, c, n)
 
 
 def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
@@ -97,34 +75,28 @@ def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     factor of the Gram matrix.
     """
     c = v.shape[0]
-    size = s + 2 * (v.shape[2] // 2)
-    rep, partner = _half_plane(size)
-    vf = _kernel_freq(v, s, rep)
+    tables, vf = _kernel_freq(v, s)
     vh = np.conj(np.swapaxes(vf, -1, -2))
     l = linalg.cholesky(vh @ vf)
     b = linalg.solve_lower(l, vh)
     wf = np.eye(c)[None] - 2.0 * (np.conj(np.swapaxes(b, -1, -2)) @ b)
-    return _mirror(size * size, rep, partner, wf)
+    return tables.mirror(wf)
 
 
 def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     """Per-frequency Cayley transform of the skew-Hermitian part."""
     c = v.shape[0]
-    size = s + 2 * (v.shape[2] // 2)
-    rep, partner = _half_plane(size)
-    a = _kernel_freq(v, s, rep)
+    tables, a = _kernel_freq(v, s)
     a = 0.5 * (a - np.conj(np.swapaxes(a, -1, -2)))
     eye = np.eye(c)[None]
     spd = eye - a @ a
     num = (eye - a) @ (eye - a)
-    return _mirror(size * size, rep, partner, linalg.solve_hpd(spd, num))
+    return tables.mirror(linalg.solve_hpd(spd, num))
 
 
 def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
     """Per-frequency Newton orthogonalization (batched over frequencies)."""
-    size = s + 2 * (v.shape[2] // 2)
-    rep, partner = _half_plane(size)
-    vf = _kernel_freq(v, s, rep)
+    tables, vf = _kernel_freq(v, s)
     vh = np.conj(np.swapaxes(vf, -1, -2))
     gram = vh @ vf
     fro = np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
@@ -139,7 +111,7 @@ def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
         z = 0.5 * (t @ z)
         if not np.all(np.isfinite(z)):
             raise DivergedError(i, "non-finite Newton iterate during benchmark")
-    return _mirror(size * size, rep, partner, vn @ z)
+    return tables.mirror(vn @ z)
 
 
 def conv_input_transform(wf: np.ndarray, x: np.ndarray) -> np.ndarray:

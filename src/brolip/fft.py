@@ -5,10 +5,14 @@ direct matrix-product DFT as the base case. Any length up to 64, and any
 prime length, takes the direct path: at desk scale the O(n^2) base case is
 both fast (one BLAS call) and the easiest to trust. The 2D wrappers apply
 the unitary normalization 1/s per axis so that transforms preserve the
-l2 norm exactly in exact arithmetic.
+l2 norm exactly in exact arithmetic. `half_plane` holds the cached index
+tables of the conjugate pairing f <-> -f that lets real-signal spectra be
+kept at half the frequencies.
 """
 
 from __future__ import annotations
+
+from typing import NamedTuple
 
 import numpy as np
 
@@ -49,6 +53,71 @@ def tap_dft(p: int, k: int) -> np.ndarray:
         mat = np.kron(cols, cols) / p
         mat.flags.writeable = False
         _tap_dft_cache[key] = mat
+    return mat
+
+
+class HalfPlane(NamedTuple):
+    """Index tables of the p x p frequency grid under the pairing f <-> -f.
+
+    The spectrum of a real signal has X(-f) = conj X(f), so it is fixed by
+    its values at the representatives `rep`, the flat indices g with
+    g <= partner(g): (p^2 + s0) / 2 rows, where s0 counts the self-conjugate
+    frequencies (1 for odd p, 4 for even p). `source` (p^2,) is the position
+    in `rep` of each grid row or of its partner; the rows `mirrored` are the
+    partners that are not representatives themselves, each the conjugate of
+    row `rep[source[mirrored]]`, and no two share a representative.
+    """
+
+    rep: np.ndarray
+    source: np.ndarray
+    mirrored: np.ndarray
+
+    def mirror(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Representative rows along `axis` -> the full grid, conjugating partners."""
+        out = np.take(values, self.source, axis=axis)
+        np.moveaxis(out, axis, 0).imag[self.mirrored] *= -1
+        return out
+
+    def fold(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
+        """Adjoint of `mirror` under the real pairing Re<a, b>."""
+        out = np.take(values, self.rep, axis=axis)
+        np.moveaxis(out, axis, 0)[self.source[self.mirrored]] += np.conj(
+            np.moveaxis(values, axis, 0)[self.mirrored])
+        return out
+
+
+_half_plane_cache: dict[int, HalfPlane] = {}
+
+
+def half_plane(p: int) -> HalfPlane:
+    """The cached, read-only `HalfPlane` tables of a p x p grid."""
+    tables = _half_plane_cache.get(p)
+    if tables is None:
+        i, j = np.divmod(np.arange(p * p), p)
+        partner = ((-i) % p) * p + ((-j) % p)
+        is_rep = np.arange(p * p) <= partner
+        position = np.cumsum(is_rep) - 1
+        mirrored = np.flatnonzero(~is_rep)
+        source = position.copy()
+        source[mirrored] = position[partner[mirrored]]
+        tables = HalfPlane(np.flatnonzero(is_rep), source, mirrored)
+        for arr in tables:
+            arr.flags.writeable = False
+        _half_plane_cache[p] = tables
+    return tables
+
+
+_half_tap_dft_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def half_tap_dft(p: int, k: int) -> np.ndarray:
+    """The representative rows `tap_dft(p, k)[half_plane(p).rep]`, cached read-only."""
+    key = (p, k)
+    mat = _half_tap_dft_cache.get(key)
+    if mat is None:
+        mat = tap_dft(p, k)[half_plane(p).rep]
+        mat.flags.writeable = False
+        _half_tap_dft_cache[key] = mat
     return mat
 
 

@@ -52,11 +52,13 @@ def _reflector(ops, veff, m):
 
 
 def _constants(ops, operator):
-    """A prepared operator (None, an array, or a tuple of arrays) as constants."""
+    """A prepared operator (None, an array, or a tuple of arrays and plain
+    floats) with its arrays as constants."""
     if operator is None:
         return None
     if isinstance(operator, tuple):
-        return type(operator)(*(ops.constant(a) for a in operator))
+        return type(operator)(*(a if isinstance(a, float) else ops.constant(a)
+                                for a in operator))
     return ops.constant(operator)
 
 

@@ -7,6 +7,10 @@ convolutional variant applies the same formula per spatial frequency after a
 2D FFT, which yields a real, orthogonal multi-channel circular convolution.
 Only the input goes through the FFT: the kernel's spectrum is the DFT of its
 k x k taps, one matmul with the tap DFT matrix in frequency-major layout.
+A real kernel and a real input have conjugate-symmetric spectra, so the
+reflector at -f is the conjugate of the one at f: the conv builds and applies
+it only at the half-plane representatives (`fft.HalfPlane`) and mirrors the
+result back to the full grid before the inverse transform.
 
 Two competing constructions are provided for comparison: the Cayley
 transform of a skew-symmetrized parameter, and the Newton-iteration polar
@@ -25,7 +29,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
-from .fft import fft2, ifft2, tap_dft
+from .fft import fft2, half_tap_dft, ifft2
 from .tensor import Tensor, as_real_array
 from .tape import EagerOps
 
@@ -152,38 +156,48 @@ def identity_residual(kernel: BroConvKernel) -> Tensor:
 class ConvOperator(NamedTuple):
     """Parameter side of an orthogonal convolution, per spatial frequency.
 
-    `vf` is the kernel spectrum, (p^2, c, n) over the padded p x p grid,
-    computed by `conv_prepare` straight from the k x k taps; `vh` is its
-    conjugate transpose and `gram` = vh @ vf. An eagerly prepared
-    operator also carries the Gram's Cholesky factor, so applying it never
-    refactors; a recorded one leaves `factor` None and factors inside the
-    taped solve.
+    `vf` is the kernel spectrum at the m half-plane representatives of the
+    padded p x p grid (`fft.half_plane(p).rep`), (m, c, n), computed by
+    `conv_prepare` straight from the k x k taps; `vh` is its conjugate
+    transpose and `gram` = vh @ vf. An eagerly prepared operator also
+    carries the Gram's Cholesky factor, so applying it never refactors; a
+    recorded one leaves `factor` None and factors inside the taped solve.
+    `kernel_imag` is the kernel's largest imaginary magnitude, which
+    `conv_apply` requires to be 0: the half plane holds only for a real kernel.
     """
 
     vf: object
     vh: object
     gram: object
     factor: object = None
+    kernel_imag: float = 0.0
 
 
 def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
     """The per-frequency operator of the kernel `v_eff` (c, n, k, k).
 
-    The spectrum is one matmul of the cached tap DFT `tap_dft(p, k)`
-    (p^2, k^2) with the kernel's taps laid out (k^2, c n): it equals the
-    unitary `fft2` of the kernel zero-padded to p x p, already
-    frequency-major, without the pad, the p x p transform or a layout copy.
+    The spectrum is one matmul of the cached half-plane tap DFT
+    `half_tap_dft(p, k)` (m, k^2) with the kernel's taps laid out (k^2, c n):
+    it equals the representative rows of the unitary `fft2` of the kernel
+    zero-padded to p x p, already frequency-major, without the pad, the
+    p x p transform or a layout copy.
     """
     size = geom.padded_size
     c = geom.channels_in
     k = geom.kernel
-    n = ops.value(v_eff).shape[1]
+    value = ops.value(v_eff)
+    n = value.shape[1]
     taps = ops.reshape(ops.transpose(v_eff, (2, 3, 0, 1)), (k * k, c * n))
-    vf = ops.reshape(ops.matmul(ops.constant(tap_dft(size, k)), taps), (size * size, c, n))
+    dft = half_tap_dft(size, k)
+    vf = ops.reshape(ops.matmul(ops.constant(dft), taps), (dft.shape[0], c, n))
     vh = ops.conj(ops.transpose(vf, (0, 2, 1)))
     gram = ops.matmul(vh, vf)
     factor = None if ops.recording else linalg.cholesky(gram)
-    return ConvOperator(vf, vh, gram, factor)
+    return ConvOperator(vf, vh, gram, factor, _imag_max(value))
+
+
+def _imag_max(a: np.ndarray) -> float:
+    return float(np.abs(a.imag).max()) if np.iscomplexobj(a) and a.size else 0.0
 
 
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):
@@ -193,25 +207,28 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     `ConvOperator` that `conv_prepare` built from it; both are backend
     values (ndarrays for the eager backend, tape variables when recording).
     The parameterization is applied per spatial frequency on the channel
-    axis. The output's imaginary residue, linear in `x`, must stay below
-    CONV_IMAG_TOL * max(1, max|x|).
+    axis, at the half-plane representatives only; the output spectrum is
+    their mirror. Both the kernel and `x` must be real (`ContractError`
+    otherwise, before any transform), and the output's imaginary residue,
+    linear in `x`, must stay below CONV_IMAG_TOL * max(1, max|x|).
     """
     op = v_eff if isinstance(v_eff, ConvOperator) else conv_prepare(ops, v_eff, geom)
+    xv = ops.value(x)
+    for name, worst in (("kernel", op.kernel_imag), ("input", _imag_max(xv))):
+        if worst:
+            raise ContractError(
+                f"{name} has imaginary residue {worst:.3e}; the conv needs a real "
+                "kernel and input, whose spectra are conjugate-symmetric")
     kp = geom.half_pad
     size = geom.padded_size
-    c = geom.channels_in
-    xv = ops.value(x)
-    batch = xv.shape[0]
 
     xp = ops.pad_last2(x, kp, kp) if kp else x
-    xf = ops.reshape(ops.transpose(ops.fft2(xp), (2, 3, 1, 0)), (size * size, c, batch))
+    xf = ops.gather_half(ops.fft2(xp))                  # (m, c, B)
 
     rhs = ops.matmul(op.vh, xf)
     sol = ops.solve_h(op.gram, rhs, op.factor)
     yf = ops.sub(xf, ops.scale(ops.matmul(op.vf, sol), 2.0))
-
-    yf = ops.transpose(ops.reshape(yf, (size, size, c, batch)), (3, 2, 0, 1))
-    y = ops.ifft2(yf)
+    y = ops.ifft2(ops.mirror_half(yf, size))            # (B, c, p, p)
 
     imag = np.abs(ops.value(y).imag)
     worst = float(imag.max()) if imag.size else 0.0

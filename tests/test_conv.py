@@ -4,10 +4,11 @@ import numpy as np
 import pytest
 
 from brolip.errors import ContractError, ShapeError, SingularParameter
-from brolip.fft import fft2
+from brolip.fft import fft2, half_plane
 from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
                           conv_apply, conv_prepare, materialize_conv_matrix)
-from brolip.tape import EagerOps, Tape, TapeOps, t_mul, t_sum, grad_check
+from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_gather_half,
+                         t_mirror_half, t_mul, t_sum)
 
 
 def _kernel(c, n, k, seed):
@@ -156,7 +157,8 @@ def test_tap_spectrum_matches_the_padded_fft(c, n, k, s, complex_kernel):
         v = v + 1j * rng.standard_normal((c, n, k, k))
     geom = ConvGeometry(c, c, s, k)
     vf = conv_prepare(EagerOps, v, geom).vf
-    oracle = _padded_fft_spectrum(v, geom.padded_size)
+    size = geom.padded_size
+    oracle = _padded_fft_spectrum(v, size)[half_plane(size).rep]
     assert vf.shape == oracle.shape
     np.testing.assert_allclose(vf, oracle, rtol=0, atol=1e-14)
 
@@ -229,3 +231,74 @@ def test_complex_kernel_still_fails_the_residue_gate():
     x = rng.standard_normal((2, 4, 4, 4))
     with pytest.raises(ContractError, match="imaginary residue"):
         conv_apply(EagerOps, v, x, ConvGeometry(4, 4, 4, 3, keep_padding=True))
+
+
+@pytest.mark.parametrize("s, operator", [(4, False), (5, False), (4, True), (5, True)])
+def test_kernel_with_cancelling_imaginary_taps_is_rejected(s, operator):
+    # +1j at tap (0, 0) and -1j at tap (2, 2) cancel at every self-conjugate
+    # frequency of the padded grid (p = 6 and 7), so the mirrored spectrum
+    # would come out real and wrong instead of failing the output gate
+    v = np.random.default_rng(23).standard_normal((4, 2, 3, 3)).astype(complex)
+    v[0, 0, 0, 0] += 1j
+    v[0, 0, 2, 2] -= 1j
+    geom = ConvGeometry(4, 4, s, 3, keep_padding=True)
+    kernel = conv_prepare(EagerOps, v, geom) if operator else v
+    x = np.random.default_rng(24).standard_normal((2, 4, s, s))
+    with pytest.raises(ContractError, match="kernel has imaginary residue"):
+        conv_apply(EagerOps, kernel, x, geom)
+
+
+def test_complex_input_is_rejected():
+    v = np.random.default_rng(25).standard_normal((4, 2, 3, 3))
+    x = np.random.default_rng(26).standard_normal((2, 4, 5, 5)) + 1e-3j
+    with pytest.raises(ContractError, match="input has imaginary residue"):
+        conv_apply(EagerOps, v, x, ConvGeometry(4, 4, 5, 3))
+
+
+def _adjoint_gap(primitive, u, w):
+    # Re<J u, w> against Re<u, J^T w>, with J^T w from the tape's VJP
+    tape = Tape()
+    leaf = tape.leaf(u)
+    out = primitive(leaf)
+    ju = out.value
+    jtw = tape.backward(out, seed=w)[leaf.idx]
+    lhs = np.real(np.vdot(ju, w))
+    rhs = np.real(np.vdot(u, jtw))
+    return abs(lhs - rhs) / max(1.0, abs(lhs))
+
+
+@pytest.mark.parametrize("p", [6, 7])
+def test_half_plane_primitives_satisfy_the_adjoint_identity(p):
+    rng = np.random.default_rng(27 + p)
+    m = half_plane(p).rep.size
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    assert _adjoint_gap(t_gather_half, cplx(2, 3, p, p), cplx(m, 3, 2)) < 1e-13
+    assert _adjoint_gap(lambda a: t_mirror_half(a, p), cplx(m, 3, 2), cplx(2, 3, p, p)) < 1e-13
+
+
+def test_gradients_match_finite_differences_at_an_odd_padded_grid():
+    # s = 5, k = 3: p = 7, one self-conjugate frequency
+    assert _kernel_grad_error(c=2, s=5, k=3, n=1, batch=2, seed=33) < 1e-5
+    c, s, k = 2, 5, 3
+    geom = ConvGeometry(c, c, s, k, keep_padding=False)
+    rng = np.random.default_rng(34)
+    kern = rng.standard_normal((c, 1, k, k))
+    readout = rng.standard_normal((2, c, s, s))
+
+    def f(x):
+        tape = x.tape
+        y = conv_apply(TapeOps(tape), tape.leaf(kern, requires_grad=False), x, geom)
+        return t_sum(t_mul(y, tape.leaf(readout, requires_grad=False)))
+
+    assert grad_check(f, rng.standard_normal((2, c, s, s)), h=1e-6) < 1e-6
+
+
+def test_operator_holds_only_the_half_plane_rows():
+    # 16 x 16 grid: (256 + 4) / 2 = 130 representatives
+    v = np.random.default_rng(35).standard_normal((4, 2, 1, 1))
+    op = conv_prepare(EagerOps, v, ConvGeometry(4, 4, 16, 1))
+    assert op.vf.shape == (130, 4, 2)
+    assert op.gram.shape == op.factor.shape == (130, 2, 2)

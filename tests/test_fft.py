@@ -2,9 +2,11 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from brolip.errors import ShapeError
-from brolip.fft import fft2, fft2d, ifft2, ifft2d, ifft2d_real
+from brolip.fft import (fft2, fft2d, half_plane, half_tap_dft, ifft2, ifft2d,
+                        ifft2d_real, tap_dft)
 from brolip.tensor import CTensor, Tensor
 
 
@@ -114,3 +116,36 @@ def test_real_inverse_checks_imaginary_residue():
     ok = fft2d(np.eye(3))
     t = ifft2d_real(ok, imag_tol=1e-9)
     np.testing.assert_allclose(t.array, np.eye(3), atol=1e-12)
+
+
+@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@given(p=st.integers(min_value=1, max_value=24))
+def test_half_plane_tables_cover_the_grid(p):
+    tables = half_plane(p)
+    rows = np.arange(p * p)
+    i, j = np.divmod(rows, p)
+    partner = ((-i) % p) * p + ((-j) % p)
+    self_conjugate = int(np.sum(rows == partner))
+    assert self_conjugate == (1 if p % 2 else 4)
+    assert tables.rep.size == (p * p + self_conjugate) // 2
+    # every grid row is a representative or the conjugate of exactly one
+    is_rep = np.zeros(p * p, bool)
+    is_rep[tables.rep] = True
+    assert np.array_equal(np.sort(np.concatenate([tables.rep, tables.mirrored])), rows)
+    assert np.array_equal(tables.rep[tables.source[tables.rep]], tables.rep)
+    assert np.array_equal(tables.rep[tables.source[tables.mirrored]],
+                          partner[tables.mirrored])
+    assert not is_rep[tables.mirrored].any()
+    assert np.unique(tables.source[tables.mirrored]).size == tables.mirrored.size
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 6])
+def test_half_plane_mirror_rebuilds_a_real_spectrum(p):
+    x = np.random.default_rng(p).standard_normal((3, p, p))
+    spec = fft2(x).reshape(3, p * p)
+    tables = half_plane(p)
+    rebuilt = tables.mirror(spec[:, tables.rep], axis=1)
+    np.testing.assert_allclose(rebuilt, spec, rtol=0, atol=1e-14)
+    np.testing.assert_array_equal(half_tap_dft(p, 1), tap_dft(p, 1)[tables.rep])
+    assert not half_tap_dft(p, 1).flags.writeable
+    assert not any(a.flags.writeable for a in tables)
