@@ -1,13 +1,13 @@
 """Unitary 2D discrete Fourier transforms.
 
-The 1D core is a recursive mixed-radix Cooley-Tukey decomposition with a
-direct matrix-product DFT as the base case. Any length up to 64, and any
-prime length, takes the direct path: at desk scale the O(n^2) base case is
-both fast (one BLAS call) and the easiest to trust. The 2D wrappers apply
-the unitary normalization 1/s per axis so that transforms preserve the
-l2 norm exactly in exact arithmetic. `half_plane` holds the cached index
-tables of the conjugate pairing f <-> -f that lets real-signal spectra be
-kept at half the frequencies.
+`fft2`/`ifft2` are numpy's pocketfft with the unitary ("ortho")
+normalization 1/s per axis, so transforms preserve the l2 norm exactly in
+exact arithmetic; they serve as the independent oracle of the cached
+matrix forms below. `half_plane` holds the cached index tables of the
+conjugate pairing f <-> -f that lets real-signal spectra be kept at half
+the frequencies. `tap_dft` and `half_tap_dft` are the DFT as a matrix on
+a kernel's k x k taps, and `real_half` the real GEMM tables that take a
+real p x p signal to its half-plane spectrum and back.
 """
 
 from __future__ import annotations
@@ -18,21 +18,6 @@ import numpy as np
 
 from .errors import ShapeError
 from .tensor import CTensor, Tensor, as_complex_array, as_real_array, record_alloc
-
-_DIRECT_CUTOFF = 64
-
-_dft_cache: dict[int, np.ndarray] = {}
-
-
-def _dft_matrix(n: int) -> np.ndarray:
-    """Unnormalized DFT matrix F[j, k] = exp(-2i*pi*j*k/n)."""
-    mat = _dft_cache.get(n)
-    if mat is None:
-        j = np.arange(n)
-        mat = np.exp((-2j * np.pi / n) * np.outer(j, j))
-        _dft_cache[n] = mat
-    return mat
-
 
 _tap_dft_cache: dict[tuple[int, int], np.ndarray] = {}
 
@@ -78,13 +63,6 @@ class HalfPlane(NamedTuple):
         np.moveaxis(out, axis, 0).imag[self.mirrored] *= -1
         return out
 
-    def fold(self, values: np.ndarray, axis: int = 0) -> np.ndarray:
-        """Adjoint of `mirror` under the real pairing Re<a, b>."""
-        out = np.take(values, self.rep, axis=axis)
-        np.moveaxis(out, axis, 0)[self.source[self.mirrored]] += np.conj(
-            np.moveaxis(values, axis, 0)[self.mirrored])
-        return out
-
 
 _half_plane_cache: dict[int, HalfPlane] = {}
 
@@ -121,33 +99,67 @@ def half_tap_dft(p: int, k: int) -> np.ndarray:
     return mat
 
 
-def _smallest_prime_factor(n: int) -> int:
-    if n % 2 == 0:
-        return 2
-    p = 3
-    while p * p <= n:
-        if n % p == 0:
-            return p
-        p += 2
-    return n
+class RealHalf(NamedTuple):
+    """Real GEMM tables of the half-plane DFT of a real p x p signal.
+
+    `forward` (p^2, 2m) interleaves the real and imaginary parts of
+    `half_tap_dft(p, p).T`: for real x, `x.reshape(-1, p*p) @ forward`
+    viewed as complex (-1, m) is the unitary `fft2` of x at the m
+    `half_plane(p).rep` rows. `inverse` (2m, p^2) holds the same rows,
+    weighted 2 for a representative whose partner is mirrored and 1 for a
+    self-conjugate one: the interleaved float view of representative rows
+    times `inverse` is the real part of the inverse transform of their
+    mirror. `self_conjugate` (s0,) are the positions in `rep` of the
+    self-conjugate frequencies, where the DFT is real (+-1/p), and
+    `residue` (classes, s0) its values at one pixel of each class on which
+    they agree: the pixel parities for even p, the origin for odd p.
+    """
+
+    forward: np.ndarray
+    inverse: np.ndarray
+    self_conjugate: np.ndarray
+    residue: np.ndarray
 
 
-def _fft1_last(a: np.ndarray) -> np.ndarray:
-    """Unnormalized DFT along the last axis (complex in, complex out)."""
-    n = a.shape[-1]
-    p = _smallest_prime_factor(n)
-    if n <= _DIRECT_CUTOFF or p == n:
-        return a @ _dft_matrix(n)
-    m = n // p
-    # Decimation in time: column r holds the subsequence a[..., r::p].
-    sub = a.reshape(a.shape[:-1] + (m, p))
-    sub = _fft1_last(np.swapaxes(sub, -1, -2))  # (..., p, m) transformed
-    sub = np.swapaxes(sub, -1, -2)              # (..., m, p): S[k2, r]
-    k2 = np.arange(m).reshape(m, 1)
-    r = np.arange(p).reshape(1, p)
-    twiddle = np.exp((-2j * np.pi / n) * (k2 * r))
-    combined = (sub * twiddle) @ _dft_matrix(p)  # (..., m, p): X[k1*m + k2]
-    return np.swapaxes(combined, -1, -2).reshape(a.shape)
+_real_half_cache: dict[int, RealHalf] = {}
+
+
+def real_half(p: int) -> RealHalf:
+    """The cached, read-only `RealHalf` tables of a p x p grid."""
+    tables = _real_half_cache.get(p)
+    if tables is None:
+        dft = half_tap_dft(p, p)
+        m = dft.shape[0]
+        forward = np.empty((p * p, 2 * m))
+        forward[:, 0::2] = dft.real.T
+        forward[:, 1::2] = dft.imag.T
+        grid = half_plane(p)
+        weight = np.ones(m)
+        weight[grid.source[grid.mirrored]] = 2.0
+        self_conjugate = np.flatnonzero(weight == 1.0)
+        inverse = np.ascontiguousarray(forward.T * np.repeat(weight, 2)[:, None])
+        pixels = [0] if p % 2 else [0, 1, p, p + 1]
+        residue = np.ascontiguousarray(dft[np.ix_(self_conjugate, pixels)].real.T)
+        tables = RealHalf(forward, inverse, self_conjugate, residue)
+        for arr in tables:
+            arr.flags.writeable = False
+        _real_half_cache[p] = tables
+    return tables
+
+
+def imag_residue(rows: np.ndarray, p: int) -> float:
+    """Largest imaginary magnitude of the inverse transform of a mirrored spectrum.
+
+    `rows` (m, ...) holds representative rows of a p x p spectrum. Their
+    mirror conjugates every partner exactly, so the imaginary part of its
+    unitary inverse comes only from the self-conjugate rows: at each pixel
+    it is the sum of their imaginary parts times the real, +-1/p DFT
+    entries, one value per pixel class. This is that maximum, computed from
+    those s0 rows without the inverse transform.
+    """
+    tables = real_half(p)
+    imag = rows[tables.self_conjugate].imag.reshape(tables.self_conjugate.size, -1)
+    return float(np.abs(tables.residue @ imag).max()) if imag.size else 0.0
 
 
 def _check_square_trailing(shape: tuple[int, ...]) -> int:
@@ -162,18 +174,18 @@ def _check_square_trailing(shape: tuple[int, ...]) -> int:
 
 def fft2(a: np.ndarray) -> np.ndarray:
     """Unitary 2D DFT over the trailing two axes of an ndarray."""
-    s = _check_square_trailing(a.shape)
-    out = np.ascontiguousarray(a, dtype=np.complex128)
-    out = _fft1_last(out)
-    out = _fft1_last(np.swapaxes(out, -1, -2))
-    out = np.swapaxes(out, -1, -2)
+    _check_square_trailing(a.shape)
+    out = np.fft.fft2(a, axes=(-2, -1), norm="ortho")
     record_alloc(out.size)
-    return out / s
+    return out
 
 
 def ifft2(a: np.ndarray) -> np.ndarray:
     """Unitary inverse 2D DFT; exact inverse of :func:`fft2`."""
-    return np.conj(fft2(np.conj(a)))
+    _check_square_trailing(a.shape)
+    out = np.fft.ifft2(a, axes=(-2, -1), norm="ortho")
+    record_alloc(out.size)
+    return out
 
 
 def fft2d(x) -> CTensor:

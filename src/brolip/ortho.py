@@ -4,13 +4,16 @@ The central construction is the block reflector W = I - 2 V (V^T V)^{-1} V^T
 built from an unconstrained low-rank parameter V: W is symmetric, orthogonal,
 and involutory, with n eigenvalues -1 and m-n eigenvalues +1. The
 convolutional variant applies the same formula per spatial frequency after a
-2D FFT, which yields a real, orthogonal multi-channel circular convolution.
-Only the input goes through the FFT: the kernel's spectrum is the DFT of its
-k x k taps, one matmul with the tap DFT matrix in frequency-major layout.
+unitary 2D DFT, which yields a real, orthogonal multi-channel circular
+convolution. The kernel's spectrum is the DFT of its k x k taps, one matmul
+with the tap DFT matrix in frequency-major layout.
 A real kernel and a real input have conjugate-symmetric spectra, so the
 reflector at -f is the conjugate of the one at f: the conv builds and applies
-it only at the half-plane representatives (`fft.HalfPlane`) and mirrors the
-result back to the full grid before the inverse transform.
+it only at the half-plane representatives (`fft.HalfPlane`). The input's
+transform to those rows, and the real inverse of the mirrored result, are
+one real GEMM each with the cached `fft.real_half` tables; the output's
+imaginary residue is read from the s0 self-conjugate rows of the output
+spectrum, the only rows the inverse does not pair into a real sum.
 
 Two competing constructions are provided for comparison: the Cayley
 transform of a skew-symmetrized parameter, and the Newton-iteration polar
@@ -29,7 +32,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
-from .fft import fft2, half_tap_dft, ifft2
+from .fft import fft2, half_tap_dft, ifft2, imag_residue
 from .tensor import Tensor, as_real_array
 from .tape import EagerOps
 
@@ -207,10 +210,12 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     `ConvOperator` that `conv_prepare` built from it; both are backend
     values (ndarrays for the eager backend, tape variables when recording).
     The parameterization is applied per spatial frequency on the channel
-    axis, at the half-plane representatives only; the output spectrum is
-    their mirror. Both the kernel and `x` must be real (`ContractError`
-    otherwise, before any transform), and the output's imaginary residue,
-    linear in `x`, must stay below CONV_IMAG_TOL * max(1, max|x|).
+    axis, at the half-plane representatives only; the output is the real
+    inverse transform of their mirror. Both the kernel and `x` must be real
+    (`ContractError` otherwise, before any transform). The imaginary part
+    the inverse of the mirror would carry, read exactly from the output
+    spectrum's self-conjugate rows (`fft.imag_residue`) and linear in `x`,
+    must stay below CONV_IMAG_TOL * max(1, max|x|).
     """
     op = v_eff if isinstance(v_eff, ConvOperator) else conv_prepare(ops, v_eff, geom)
     xv = ops.value(x)
@@ -223,21 +228,19 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     size = geom.padded_size
 
     xp = ops.pad_last2(x, kp, kp) if kp else x
-    xf = ops.gather_half(ops.fft2(xp))                  # (m, c, B)
+    xf = ops.rdft_half(xp)                              # (m, c, B)
 
     rhs = ops.matmul(op.vh, xf)
     sol = ops.solve_h(op.gram, rhs, op.factor)
     yf = ops.sub(xf, ops.scale(ops.matmul(op.vf, sol), 2.0))
-    y = ops.ifft2(ops.mirror_half(yf, size))            # (B, c, p, p)
 
-    imag = np.abs(ops.value(y).imag)
-    worst = float(imag.max()) if imag.size else 0.0
+    worst = imag_residue(ops.value(yf), size)
     tol = CONV_IMAG_TOL * max(1.0, float(np.abs(xv).max()) if xv.size else 0.0)
     if worst > tol:
         raise ContractError(
             f"imaginary residue {worst:.3e} exceeds {tol:.1e}; "
             "parameterization should produce a real output")
-    y = ops.real(y)
+    y = ops.irdft_half(yf, size)                        # (B, c, p, p)
     if not geom.keep_padding and kp:
         y = ops.crop_last2(y, kp)
     return y

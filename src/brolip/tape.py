@@ -9,7 +9,7 @@ complex128 ndarrays.
 Complex cotangents follow the real-pairing convention (d/d re + i d/d im),
 under which the adjoint of a complex-linear map is its conjugate transpose;
 with that convention the same matmul/solve rules cover both dtypes. A real
-operand of a complex result (fft2, ifft2, matmul) gets the real part.
+operand of a complex result (matmul, rdft_half) gets the real part.
 
 A tape instance is single-threaded; independent tapes may run in parallel.
 """
@@ -241,58 +241,58 @@ def t_crop_last2(a: Var, border: int) -> Var:
                           lambda g: (_pad_last2(g, border, border),))
 
 
-def t_fft2(a: Var) -> Var:
-    real_input = a.value.dtype != np.complex128
-
-    def vjp(g):
-        return (_cotangent(fft.ifft2(g), real_input),)
-
-    return a.tape._append("fft2", fft.fft2(a.value), (a.idx,), vjp)
+def _freq_major(flat: np.ndarray, b: int, c: int) -> np.ndarray:
+    """(B c, 2m) interleaved float rows -> complex, frequency-major (m, c, B)."""
+    return np.ascontiguousarray(
+        flat.view(np.complex128).reshape(b, c, -1).transpose(2, 1, 0))
 
 
-def t_ifft2(a: Var) -> Var:
-    real_input = a.value.dtype != np.complex128
-
-    def vjp(g):
-        return (_cotangent(fft.fft2(g), real_input),)
-
-    return a.tape._append("ifft2", fft.ifft2(a.value), (a.idx,), vjp)
+def _batch_major(a: np.ndarray) -> np.ndarray:
+    """Complex (m, c, B) -> its interleaved float view, batch-major (B c, 2m)."""
+    m, c, b = a.shape
+    rows = np.ascontiguousarray(a.transpose(2, 1, 0), dtype=np.complex128)
+    return rows.view(np.float64).reshape(b * c, 2 * m)
 
 
-def _gather_half(a: np.ndarray) -> np.ndarray:
-    """(B, c, p, p) spectrum -> its representative rows, frequency-major (m, c, B)."""
+def _rdft_half(a: np.ndarray) -> np.ndarray:
+    """Real (B, c, p, p) signal -> its spectrum's representative rows, (m, c, B).
+
+    One real GEMM with the `fft.real_half` forward table, whose float
+    product is the complex result viewed in place. `a` must be real-valued.
+    """
     b, c, p, _ = a.shape
-    rows = np.take(a.reshape(b, c, p * p), fft.half_plane(p).rep, axis=2)
-    return np.ascontiguousarray(rows.transpose(2, 1, 0))
+    return _freq_major(a.real.reshape(b * c, p * p) @ fft.real_half(p).forward, b, c)
 
 
-def _mirror_half(a: np.ndarray, p: int) -> np.ndarray:
-    """(m, c, B) representative rows -> the (B, c, p, p) grid they determine."""
+def _irdft_half(a: np.ndarray, p: int) -> np.ndarray:
+    """(m, c, B) representative rows -> the real (B, c, p, p) image of their mirror."""
     _, c, b = a.shape
-    return fft.half_plane(p).mirror(a.transpose(2, 1, 0), axis=2).reshape(b, c, p, p)
+    return (_batch_major(a) @ fft.real_half(p).inverse).reshape(b, c, p, p)
 
 
-def t_gather_half(a: Var) -> Var:
-    """Representative rows of a spectrum (see `fft.HalfPlane`); the VJP scatters."""
+def t_rdft_half(a: Var) -> Var:
+    """Half-plane spectrum of a real signal; the VJP is the transposed GEMM.
+
+    Under the real pairing the interleaved float view of a complex
+    cotangent is the cotangent of the float product, so neither adjoint
+    needs complex arithmetic.
+    """
     b, c, p, _ = a.value.shape
-    rep = fft.half_plane(p).rep
 
     def vjp(g):
-        out = np.zeros((b, c, p * p), dtype=g.dtype)
-        out[..., rep] = g.transpose(2, 1, 0)  # unique indices: no accumulation
-        return (out.reshape(b, c, p, p),)
+        return ((_batch_major(g) @ fft.real_half(p).forward.T).reshape(b, c, p, p),)
 
-    return a.tape._append("gather_half", _gather_half(a.value), (a.idx,), vjp)
+    return a.tape._append("rdft_half", _rdft_half(a.value), (a.idx,), vjp)
 
 
-def t_mirror_half(a: Var, p: int) -> Var:
-    """The full grid of representative rows; the VJP folds each partner back."""
+def t_irdft_half(a: Var, p: int) -> Var:
+    """Real image of a half-plane spectrum; the VJP is the transposed GEMM."""
+    _, c, b = a.value.shape
+
     def vjp(g):
-        b, c = g.shape[:2]
-        folded = fft.half_plane(p).fold(g.reshape(b, c, p * p), axis=2)
-        return (np.ascontiguousarray(folded.transpose(2, 1, 0)),)
+        return (_freq_major(g.real.reshape(b * c, p * p) @ fft.real_half(p).inverse.T, b, c),)
 
-    return a.tape._append("mirror_half", _mirror_half(a.value, p), (a.idx,), vjp)
+    return a.tape._append("irdft_half", _irdft_half(a.value, p), (a.idx,), vjp)
 
 
 def t_solve_h(a: Var, b: Var, factor: Var | None = None) -> Var:
@@ -498,10 +498,6 @@ class EagerOps:
         return np.conj(a)
 
     @staticmethod
-    def real(a):
-        return np.ascontiguousarray(a.real)
-
-    @staticmethod
     def pad_last2(a, before, after):
         return _pad_last2(a, before, after)
 
@@ -510,20 +506,12 @@ class EagerOps:
         return np.ascontiguousarray(_crop_last2(a, border))
 
     @staticmethod
-    def fft2(a):
-        return fft.fft2(a)
+    def rdft_half(a):
+        return _rdft_half(a)
 
     @staticmethod
-    def ifft2(a):
-        return fft.ifft2(a)
-
-    @staticmethod
-    def gather_half(a):
-        return _gather_half(a)
-
-    @staticmethod
-    def mirror_half(a, p):
-        return _mirror_half(a, p)
+    def irdft_half(a, p):
+        return _irdft_half(a, p)
 
     @staticmethod
     def solve_h(a, b, factor=None):
@@ -585,26 +573,17 @@ class TapeOps:
     def conj(self, a):
         return t_conj(a)
 
-    def real(self, a):
-        return t_real(a)
-
     def pad_last2(self, a, before, after):
         return t_pad_last2(a, before, after)
 
     def crop_last2(self, a, border):
         return t_crop_last2(a, border)
 
-    def fft2(self, a):
-        return t_fft2(a)
+    def rdft_half(self, a):
+        return t_rdft_half(a)
 
-    def ifft2(self, a):
-        return t_ifft2(a)
-
-    def gather_half(self, a):
-        return t_gather_half(a)
-
-    def mirror_half(self, a, p):
-        return t_mirror_half(a, p)
+    def irdft_half(self, a, p):
+        return t_irdft_half(a, p)
 
     def solve_h(self, a, b, factor=None):
         return t_solve_h(a, b, factor)

@@ -4,11 +4,11 @@ import numpy as np
 import pytest
 
 from brolip.errors import ContractError, ShapeError, SingularParameter
-from brolip.fft import fft2, half_plane
+from brolip.fft import fft2, half_plane, real_half
 from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
                           conv_apply, conv_prepare, materialize_conv_matrix)
-from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_gather_half,
-                         t_mirror_half, t_mul, t_sum)
+from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_irdft_half,
+                         t_mul, t_rdft_half, t_sum)
 
 
 def _kernel(c, n, k, seed):
@@ -275,8 +275,9 @@ def test_half_plane_primitives_satisfy_the_adjoint_identity(p):
     def cplx(*shape):
         return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-    assert _adjoint_gap(t_gather_half, cplx(2, 3, p, p), cplx(m, 3, 2)) < 1e-13
-    assert _adjoint_gap(lambda a: t_mirror_half(a, p), cplx(m, 3, 2), cplx(2, 3, p, p)) < 1e-13
+    real = rng.standard_normal
+    assert _adjoint_gap(t_rdft_half, real((2, 3, p, p)), cplx(m, 3, 2)) < 1e-13
+    assert _adjoint_gap(lambda a: t_irdft_half(a, p), cplx(m, 3, 2), real((2, 3, p, p))) < 1e-13
 
 
 def test_gradients_match_finite_differences_at_an_odd_padded_grid():
@@ -302,3 +303,32 @@ def test_operator_holds_only_the_half_plane_rows():
     op = conv_prepare(EagerOps, v, ConvGeometry(4, 4, 16, 1))
     assert op.vf.shape == (130, 4, 2)
     assert op.gram.shape == op.factor.shape == (130, 2, 2)
+
+
+@pytest.mark.parametrize("s", [4, 5])
+def test_perturbed_self_conjugate_row_fails_the_output_gate(s):
+    # a complex entry of `vf` at a self-conjugate frequency (p = 6 and 7)
+    # leaves `kernel_imag` at 0, so only the output residue gate can see it
+    rng = np.random.default_rng(36 + s)
+    geom = ConvGeometry(4, 4, s, 3, keep_padding=True)
+    op = conv_prepare(EagerOps, rng.standard_normal((4, 2, 3, 3)), geom)
+    x = rng.standard_normal((2, 4, s, s))
+    conv_apply(EagerOps, op, x, geom)
+    for row in real_half(geom.padded_size).self_conjugate:
+        vf = op.vf.copy()
+        vf[row, 1, 0] += 1j
+        with pytest.raises(ContractError, match="imaginary residue"):
+            conv_apply(EagerOps, op._replace(vf=vf), x, geom)
+
+
+@pytest.mark.parametrize("k, nodes", [(1, 17), (3, 19)])
+def test_taped_conv_records_a_fixed_node_count(k, nodes):
+    # two leaves, eight prepare nodes (taps, spectrum, conjugate transpose,
+    # Gram) and the apply: optional pad, rdft_half, three matmul/solve
+    # nodes, scale, sub, irdft_half and optional crop
+    rng = np.random.default_rng(37 + k)
+    tape = Tape()
+    v = tape.leaf(rng.standard_normal((4, 2, k, k)))
+    x = tape.leaf(rng.standard_normal((2, 4, 5, 5)))
+    conv_apply(TapeOps(tape), v, x, ConvGeometry(4, 4, 5, k))
+    assert len(tape.nodes) == nodes, [node.op for node in tape.nodes]

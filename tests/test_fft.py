@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from brolip.errors import ShapeError
 from brolip.fft import (fft2, fft2d, half_plane, half_tap_dft, ifft2, ifft2d,
-                        ifft2d_real, tap_dft)
+                        ifft2d_real, imag_residue, real_half, tap_dft)
 from brolip.tensor import CTensor, Tensor
 
 
@@ -54,8 +54,7 @@ def test_oracle_agreement_various_sizes(s):
 
 @pytest.mark.parametrize("s", [66, 96, 128])
 def test_mixed_radix_path_cross_checked(s):
-    # sizes above the direct cutoff exercise the recursive decomposition;
-    # cross-checked against an independent library implementation
+    # large sizes keep the unitary 1/s scaling of the library transform
     rng = np.random.default_rng(s)
     x = rng.standard_normal((s, s)) + 1j * rng.standard_normal((s, s))
     np.testing.assert_allclose(fft2(x), np.fft.fft2(x) / s, atol=1e-10)
@@ -149,3 +148,35 @@ def test_half_plane_mirror_rebuilds_a_real_spectrum(p):
     np.testing.assert_array_equal(half_tap_dft(p, 1), tap_dft(p, 1)[tables.rep])
     assert not half_tap_dft(p, 1).flags.writeable
     assert not any(a.flags.writeable for a in tables)
+
+
+@pytest.mark.parametrize("p", [1, 2, 5, 6, 7, 16])
+def test_real_half_tables_are_the_half_plane_dft_and_its_real_inverse(p):
+    tables = real_half(p)
+    rep = half_plane(p).rep
+    x = np.random.default_rng(40 + p).standard_normal((6, p * p))
+    spec = (x @ tables.forward).view(np.complex128)
+    oracle = np.fft.fft2(x.reshape(6, p, p), norm="ortho").reshape(6, p * p)[:, rep]
+    assert spec.shape == (6, rep.size)
+    np.testing.assert_allclose(spec, oracle, rtol=0, atol=1e-14)
+    np.testing.assert_allclose((x @ tables.forward) @ tables.inverse, x, rtol=0, atol=1e-14)
+    assert tables.self_conjugate.size == (1 if p % 2 else 4)
+    assert not any(a.flags.writeable for a in tables)
+
+
+@pytest.mark.parametrize("p", [4, 5, 6, 7, 16])
+def test_imag_residue_matches_the_full_inverse_of_the_mirror(p):
+    # spikes at the self-conjugate rows of random spectra: the residue read
+    # from those rows equals max|Im| of the inverse transform of the mirror
+    rng = np.random.default_rng(50 + p)
+    tables = half_plane(p)
+    rows = real_half(p).self_conjugate
+    m = tables.rep.size
+    for spike in (0.0, 1e-9, 1.0, 1e3):
+        spec = rng.standard_normal((m, 3, 2)) + 1j * rng.standard_normal((m, 3, 2))
+        spec[rows] = spec[rows].real + 1e-12j * rng.standard_normal((rows.size, 3, 2))
+        spec[rng.choice(rows), rng.integers(3), rng.integers(2)] += 1j * spike
+        full = tables.mirror(spec).reshape(p, p, 3, 2)
+        oracle = np.abs(np.fft.ifft2(full, axes=(0, 1), norm="ortho").imag).max()
+        got = imag_residue(spec, p)
+        assert abs(got - oracle) <= 1e-12 * oracle + 1e-14  # the inverse's round-off
