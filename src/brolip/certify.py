@@ -6,17 +6,23 @@ than max(0, M / (sqrt(2) L)): a pairwise logit difference is at most
 sqrt(2) L-Lipschitz. When the classifier head has explicit unit-norm rows,
 the per-pair constant improves to L * ||w_t - w_j||, giving the sharper
 head-aware radius implemented here.
+
+`build_report` certifies a whole (N, C) batch with array operations and
+holds the result as columns in `CertificationReport`. The per-sample
+functions `margin`, `certified_radius` and `lln_certified_radius` are the
+reference it is tested against, bit for bit; it does not call them.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ContractError, FormatError
+from .losses import margins_and_runners
 from .tensor import as_real_array
 
 REPORT_VERSION = 1
@@ -122,32 +128,65 @@ class SampleRecord:
     radius: float
 
 
-@dataclass
+def _column(values, dtype) -> np.ndarray:
+    col = np.array(values, dtype=dtype).reshape(-1)
+    col.setflags(write=False)
+    return col
+
+
 class CertificationReport:
-    """Per-sample certificates plus the distribution aggregates."""
+    """Per-sample certificates as four read-only columns, plus the aggregates.
 
-    records: list[SampleRecord]
-    lipschitz_bound: float
-    curve: list[tuple[float, float]] = field(default_factory=list)
+    `true_label`, `predicted`, `margin` and `radius` are 1-D arrays with
+    one entry per sample. `records` presents the same columns as a tuple
+    of `SampleRecord`, rebuilt on each access.
+    """
 
-    def __post_init__(self):
-        for rec in self.records:
-            if rec.radius < 0:
-                raise ContractError("negative certified radius in report")
-            if rec.predicted != rec.true_label and rec.radius != 0.0:
-                raise ContractError("misclassified sample with positive radius")
+    def __init__(self, records, lipschitz_bound: float, curve=None):
+        recs = list(records)
+        self._set_columns([r.true_label for r in recs], [r.predicted for r in recs],
+                          [r.margin for r in recs], [r.radius for r in recs])
+        self.lipschitz_bound = lipschitz_bound
+        self.curve = [] if curve is None else curve
+
+    @classmethod
+    def from_columns(cls, true_label, predicted, margin, radius,
+                     lipschitz_bound: float, curve=None) -> "CertificationReport":
+        report = cls((), lipschitz_bound, curve)
+        report._set_columns(true_label, predicted, margin, radius)
+        return report
+
+    def _set_columns(self, true_label, predicted, margin, radius) -> None:
+        true_label, predicted = _column(true_label, np.int64), _column(predicted, np.int64)
+        margin, radius = _column(margin, np.float64), _column(radius, np.float64)
+        if not true_label.shape == predicted.shape == margin.shape == radius.shape:
+            raise ContractError("report columns differ in length")
+        if np.any(radius < 0):
+            raise ContractError("negative certified radius in report")
+        if np.any((predicted != true_label) & (radius != 0.0)):
+            raise ContractError("misclassified sample with positive radius")
+        self.true_label, self.predicted = true_label, predicted
+        self.margin, self.radius = margin, radius
+
+    @property
+    def records(self) -> tuple[SampleRecord, ...]:
+        return tuple(map(SampleRecord, self.true_label.tolist(), self.predicted.tolist(),
+                         self.margin.tolist(), self.radius.tolist()))
 
     def radii(self) -> np.ndarray:
-        return np.asarray([rec.radius for rec in self.records])
+        return self.radius
+
+    def correct(self) -> np.ndarray:
+        """Boolean column: the prediction is the true label."""
+        return self.predicted == self.true_label
 
     def stats(self) -> tuple[float, float, float]:
-        return radius_stats(self.radii())
+        return radius_stats(self.radius)
 
     def clean_accuracy(self) -> float:
-        if not self.records:
+        if not self.true_label.size:
             return 0.0
-        hits = sum(1 for rec in self.records if rec.predicted == rec.true_label)
-        return hits / len(self.records)
+        return int(np.count_nonzero(self.correct())) / self.true_label.size
 
     def save(self, path) -> None:
         med, var, skew = self.stats()
@@ -155,7 +194,7 @@ class CertificationReport:
             "version": REPORT_VERSION,
             "kind": "certification-report",
             "lipschitz_bound": self.lipschitz_bound,
-            "count": len(self.records),
+            "count": int(self.true_label.size),
             "clean_accuracy": self.clean_accuracy(),
             "stats": {"median": med, "variance": var, "skewness": skew},
             "curve": [[r, a] for r, a in self.curve],
@@ -198,10 +237,10 @@ def accuracy_radius_curve(report: CertificationReport, grid) -> list[tuple[float
     radii = np.asarray(grid, dtype=np.float64).reshape(-1)
     if np.any(np.diff(radii) < 0):
         raise ContractError("radius grid must be sorted ascending")
-    if not report.records:
+    if not report.true_label.size:
         return [(float(r), 0.0) for r in radii]
     eps = report.radii()
-    correct = np.asarray([rec.predicted == rec.true_label for rec in report.records])
+    correct = report.correct()
     out = []
     for r in radii:
         frac = float(np.mean(correct & (eps >= r)))
@@ -209,31 +248,65 @@ def accuracy_radius_curve(report: CertificationReport, grid) -> list[tuple[float
     return out
 
 
+def _head_aware_radii(z: np.ndarray, labels: np.ndarray, m: np.ndarray,
+                      rows: np.ndarray, l_backbone: float) -> np.ndarray:
+    """`lln_certified_radius` of every sample with m > 0, and 0 elsewhere."""
+    c = rows.shape[0]
+    # The scalar oracle's per-pair expression: a norm along an axis sums in
+    # another order and need not give the same bits.
+    dist = np.zeros((c, c))
+    for a in range(c):
+        for b in range(a + 1, c):
+            dist[a, b] = dist[b, a] = np.linalg.norm(rows[a] - rows[b])
+    d = dist[labels]
+    gaps = z[np.arange(z.shape[0]), labels][:, None] - z
+    # d == 0 is j == t or an identical row; with m > 0 its gap is positive,
+    # so the pair can never flip and is skipped (+inf if every pair is).
+    ratio = np.divide(gaps, l_backbone * d, out=np.full(z.shape, np.inf), where=d > 0)
+    return np.where(m > 0, np.maximum(0.0, ratio.min(axis=1)), 0.0)
+
+
 def build_report(logits, labels, lipschitz_bound: float, head_rows=None,
                  grid=None) -> CertificationReport:
-    """Assemble a report from batch logits.
+    """Assemble a report from (N, C) batch logits, as array operations.
 
     Uses the head-aware bound when `head_rows` is given, otherwise the
     sqrt(2) formula. Misclassified samples get radius zero; ties count as
-    correct with zero radius.
+    correct with zero radius. Every column equals a per-sample loop over
+    `margin`, `certified_radius` and `lln_certified_radius` bit for bit.
     """
     z = as_real_array(logits)
     labels = np.asarray(labels, dtype=np.int64).reshape(-1)
-    records = []
-    for i in range(z.shape[0]):
-        t = int(labels[i])
-        m = margin(z[i], t)
-        # A tied argmax is resolved toward the true label: ties certify at
-        # radius zero but still count as clean hits.
-        pred = t if m >= 0 else int(np.argmax(z[i]))
-        if m <= 0:
-            radius = 0.0
-        elif head_rows is not None:
-            radius = lln_certified_radius(z[i], t, head_rows, lipschitz_bound)
-        else:
-            radius = certified_radius(m, lipschitz_bound)
-        records.append(SampleRecord(t, pred, m, radius))
-    report = CertificationReport(records, float(lipschitz_bound))
+    if z.ndim != 2 or z.shape[1] < 2:
+        raise ContractError(f"need at least two classes, got logits shape {z.shape}")
+    n, c = z.shape
+    if labels.size != n:
+        raise ContractError(f"{labels.size} labels for {n} samples")
+    bad = np.flatnonzero((labels < 0) | (labels >= c))
+    if bad.size:
+        raise ContractError(f"label {labels[bad[0]]} of sample {bad[0]} "
+                            f"out of range for {c} classes")
+    if head_rows is not None:
+        rows = as_real_array(head_rows)
+        if rows.ndim != 2 or rows.shape[0] != c:
+            raise ContractError(f"head rows {rows.shape} do not match {c} logits")
+    if not lipschitz_bound > 0:
+        raise ContractError("Lipschitz bound must be positive")
+    finite = np.isfinite(z)
+    if not finite.all():
+        i, j = np.argwhere(~finite)[0]
+        raise ContractError(f"non-finite logit {z[i, j]} at sample {i}, class {j}")
+    m, _ = margins_and_runners(z, labels)
+    # A tied argmax is resolved toward the true label: ties certify at
+    # radius zero but still count as clean hits.
+    pred = np.where(m >= 0, labels, np.argmax(z, axis=1))
+    if head_rows is not None:
+        radius = _head_aware_radii(z, labels, m, rows, lipschitz_bound)
+    else:
+        # 0 / d is +0.0, the scalar path's radius for m <= 0
+        radius = np.where(m > 0, m, 0.0) / (math.sqrt(2.0) * lipschitz_bound)
+    report = CertificationReport.from_columns(labels, pred, m, radius,
+                                              float(lipschitz_bound))
     if grid is not None:
         report.curve = accuracy_radius_curve(report, grid)
     return report

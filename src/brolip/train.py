@@ -75,12 +75,11 @@ def evaluate(net: Network, x, y, radii) -> EpochRecord:
     labels = np.asarray(y, dtype=np.int64)
     report = build_report(logits, labels, net.backbone_bound(),
                           head_rows=net.head_rows())
-    ms = np.asarray([rec.margin for rec in report.records])
     eps = report.radii()
-    correct = np.asarray([rec.predicted == rec.true_label for rec in report.records])
+    correct = report.correct()
     certified = {f"{r:g}": float(np.mean(correct & (eps >= r))) for r in radii}
     return EpochRecord(-1, float("nan"), float(np.mean(correct)),
-                       float(np.mean(ms)), certified, float("nan"))
+                       float(np.mean(report.margin)), certified, float("nan"))
 
 
 def train(net: Network, data, cfg: TrainConfig) -> TrainLog:

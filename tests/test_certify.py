@@ -197,3 +197,137 @@ class TestReportAssembly:
         path.write_text('{"version": 99}\n')
         with pytest.raises(FormatError):
             CertificationReport.load(path)
+
+
+def _scalar_columns(z, labels, bound, rows):
+    """The per-sample reference: one loop over the scalar oracles."""
+    cols = []
+    for zi, t in zip(z, labels.tolist()):
+        m = margin(zi, t)
+        pred = t if m >= 0 else int(np.argmax(zi))
+        if m <= 0:
+            r = 0.0
+        elif rows is not None:
+            r = lln_certified_radius(zi, t, rows, bound)
+        else:
+            r = certified_radius(m, bound)
+        cols.append((t, pred, m, r))
+    t, pred, m, r = zip(*cols)
+    return (np.array(t, dtype=np.int64), np.array(pred, dtype=np.int64),
+            np.array(m), np.array(r))
+
+
+def _bits(a):
+    return np.ascontiguousarray(a, dtype=np.float64).view(np.uint64)
+
+
+def _batch(c, seed, n=400):
+    """Seeded logits with ties on the label and between two rivals."""
+    rng = np.random.default_rng(seed)
+    z = rng.standard_normal((n, c))
+    labels = rng.integers(0, c, size=n)
+    rival = (labels + 1 + rng.integers(0, c - 1, size=n)) % c
+    tie = rng.random(n) < 0.2
+    z[tie, rival[tie]] = z[tie, labels[tie]]
+    top = np.flatnonzero(rng.random(n) < 0.1)
+    z[top, rival[top]] = z[top].max(axis=1) + 0.5
+    if c > 2:
+        z[top, (rival[top] + 1) % c] = z[top, rival[top]]
+    return z, labels
+
+
+def _heads(c, seed):
+    """A unit-row head with rows 0 and 1 identical, and an all-identical one."""
+    rng = np.random.default_rng(seed + 100)
+    rows = rng.standard_normal((c, 5))
+    rows /= np.linalg.norm(rows, axis=1, keepdims=True)
+    rows[1] = rows[0]
+    return {"pair": rows, "all": np.tile(rows[0], (c, 1))}
+
+
+_ROUTES = [(c, head) for c in (2, 3, 10) for head in (None, "pair", "all")]
+
+
+class TestBatchReport:
+    # an all-identical head certifies at +inf, whose variance in the saved
+    # header is NaN
+    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
+    @pytest.mark.parametrize("c,head", _ROUTES)
+    def test_columns_equal_the_scalar_loop_bit_for_bit(self, c, head, tmp_path):
+        z, labels = _batch(c, seed=c)
+        rows = None if head is None else _heads(c, seed=c)[head]
+        rep = build_report(z, labels, 0.7, head_rows=rows)
+        t, pred, m, r = _scalar_columns(z, labels, 0.7, rows)
+        assert np.array_equal(rep.true_label, t) and rep.true_label.dtype == np.int64
+        assert np.array_equal(rep.predicted, pred) and rep.predicted.dtype == np.int64
+        assert np.array_equal(_bits(rep.margin), _bits(m))
+        assert np.array_equal(_bits(rep.radius), _bits(r))
+        # the batch covers ties, misclassified samples and both skip rules
+        assert np.any(rep.margin == 0.0) and np.any(rep.margin < 0)
+        if head == "all":
+            assert np.all(np.isinf(rep.radius[rep.margin > 0]))
+        path = tmp_path / "report.txt"
+        rep.save(path)
+        back = CertificationReport.load(path)
+        for name in ("true_label", "predicted"):
+            assert np.array_equal(getattr(back, name), getattr(rep, name))
+        for name in ("margin", "radius"):
+            assert np.array_equal(_bits(getattr(back, name)), _bits(getattr(rep, name)))
+
+    @pytest.mark.parametrize("head", [False, True])
+    @pytest.mark.parametrize("bad,where", [
+        ([np.inf, 1.0, 0.0], "inf at sample 1, class 0"),
+        ([np.nan, 0.0, 1.0], "nan at sample 1, class 0"),
+        ([0.0, 1.0, -np.inf], "-inf at sample 1, class 2"),
+    ])
+    def test_non_finite_logits_fail_early(self, head, bad, where):
+        z = np.array([[2.0, 0.0, 1.0], bad, [np.nan, 0.0, 0.0]])
+        rows = np.eye(3) if head else None
+        with pytest.raises(ContractError, match=f"non-finite logit {where}"):
+            build_report(z, [0, 0, 0], 1.0, head_rows=rows)
+
+    @pytest.mark.parametrize("z,labels,rows", [
+        (np.eye(3), [0, -1, 2], None),
+        (np.eye(3), [0, 3, 2], np.eye(3)),
+        (np.ones((3, 1)), [0, 0, 0], None),
+        (np.eye(3), [0, 1, 2], np.eye(2)),
+    ], ids=["label-1", "label-C", "one-class", "head-rows"])
+    def test_batch_contracts(self, z, labels, rows):
+        with pytest.raises(ContractError):
+            build_report(z, labels, 1.0, head_rows=rows)
+
+    def test_columns_and_records_are_read_only(self):
+        rep = build_report(np.array([[1.0, 0.0], [0.0, 1.0]]), [0, 0], 1.0)
+        assert isinstance(rep.records, tuple)
+        assert rep.records[1] == SampleRecord(0, 1, -1.0, 0.0)
+        with pytest.raises(ValueError):
+            rep.radius[0] = 5.0
+
+    def test_report_file_in_the_version_1_format_loads_and_saves_unchanged(self, tmp_path):
+        text = (
+            '{"version": 1, "kind": "certification-report", "lipschitz_bound": 0.5, '
+            '"count": 4, "clean_accuracy": 0.75, "stats": {"median": 0.3952847075210474, '
+            '"variance": 3.8671875, "skewness": 1.065949198002195}, '
+            '"curve": [[0.0, 0.75], [0.5, 0.5]]}\n'
+            '{"true": 0, "pred": 0, "margin": 1.5, "radius": 4.743416490252569}\n'
+            '{"true": 0, "pred": 1, "margin": -0.75, "radius": 0.0}\n'
+            '{"true": 1, "pred": 1, "margin": 0.0, "radius": 0.0}\n'
+            '{"true": 0, "pred": 0, "margin": 0.25, "radius": 0.7905694150420948}\n')
+        path = tmp_path / "v1.txt"
+        path.write_text(text)
+        rep = CertificationReport.load(path)
+        assert rep.true_label.tolist() == [0, 0, 1, 0]
+        assert rep.predicted.tolist() == [0, 1, 1, 0]
+        assert rep.margin.tolist() == [1.5, -0.75, 0.0, 0.25]
+        assert rep.radius.tolist() == [4.743416490252569, 0.0, 0.0, 0.7905694150420948]
+        assert rep.clean_accuracy() == 0.75
+        # the logits that produced this file, through today's batch path
+        z = np.array([[2.0, 0.5, -1.0], [0.25, 1.0, 0.0], [0.75, 0.75, 0.5],
+                      [1.5, -0.5, 1.25]])
+        rows = np.array([[0.6, 0.8], [0.0, 1.0], [0.0, 1.0]])
+        fresh = build_report(z, [0, 0, 1, 0], 0.5, head_rows=rows, grid=[0.0, 0.5])
+        out = tmp_path / "again.txt"
+        fresh.save(out)
+        assert out.read_text() == text
+        rep.save(out)
+        assert out.read_text() == text

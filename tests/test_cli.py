@@ -60,7 +60,7 @@ def test_bench_rejects_oversize(capsys):
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--methods", "bro", "--phases", "param_transform",
-               "--c", "16", "--s", "8", "--k", "1", "--kappa", "0.25,0.5",
+               "--c", "16", "--s", "8", "--k", "1", "--kappa", "0.125,0.75",
                "--reps", "10", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()
