@@ -18,7 +18,8 @@ import numpy as np
 from . import linalg
 from .errors import ContractError, DivergedError
 from .fft import HalfPlane, fft2, half_plane, half_tap_dft, ifft2
-from .ortho import block_reflector, cayley_orthogonalize, lot_orthogonalize
+from .ortho import (block_reflector, cayley_orthogonalize, cayley_transform,
+                    lot_orthogonalize)
 from .tensor import alloc_stats, reset_alloc_stats
 
 MIN_REPS = 10
@@ -70,28 +71,19 @@ def _kernel_freq(v: np.ndarray, s: int) -> tuple[HalfPlane, np.ndarray]:
 def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     """Per-frequency reflector construction; the conv 'parameter transform'.
 
-    Processes the half frequency plane and mirrors conjugates, and builds
-    each reflector as I - 2 B^H B with B = L^{-1} V~^H from the Cholesky
-    factor of the Gram matrix.
+    Processes the half frequency plane and mirrors conjugates; each
+    reflector is `linalg.reflect` applied to the identity, with the
+    Cholesky factor of its Gram matrix.
     """
-    c = v.shape[0]
     tables, vf = _kernel_freq(v, s)
-    vh = np.conj(np.swapaxes(vf, -1, -2))
-    l = linalg.cholesky(vh @ vf)
-    b = linalg.solve_lower(l, vh)
-    wf = np.eye(c)[None] - 2.0 * (np.conj(np.swapaxes(b, -1, -2)) @ b)
+    wf, _ = linalg.reflect(vf, linalg.gram_factor(vf), np.eye(v.shape[0]))
     return tables.mirror(wf)
 
 
 def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     """Per-frequency Cayley transform of the skew-Hermitian part."""
-    c = v.shape[0]
-    tables, a = _kernel_freq(v, s)
-    a = 0.5 * (a - np.conj(np.swapaxes(a, -1, -2)))
-    eye = np.eye(c)[None]
-    spd = eye - a @ a
-    num = (eye - a) @ (eye - a)
-    return tables.mirror(linalg.solve_hpd(spd, num))
+    tables, vf = _kernel_freq(v, s)
+    return tables.mirror(cayley_transform(vf))
 
 
 def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:

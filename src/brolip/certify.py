@@ -102,8 +102,11 @@ def compose_lipschitz(model: LipschitzModel) -> float:
 def radius_stats(radii) -> tuple[float, float, float]:
     """(median, population variance, Fisher-Pearson skewness) of the radii.
 
-    The median uses the midpoint convention for even counts; skewness is
-    m3 / m2^(3/2) with population moments, 0 by convention when m2 = 0.
+    The median, over all radii, uses the midpoint convention for even
+    counts. An unbounded (+inf) radius has no moments, so the variance and
+    the skewness m3 / m2^(3/2) are population moments of the finite radii
+    only; skewness is 0 by convention when m2 = 0, and both are 0 when no
+    radius is finite.
     """
     arr = np.sort(as_real_array(radii).reshape(-1))
     if arr.size == 0:
@@ -113,7 +116,10 @@ def radius_stats(radii) -> tuple[float, float, float]:
         med = float(arr[mid])
     else:
         med = float(0.5 * (arr[mid - 1] + arr[mid]))
-    centered = arr - np.mean(arr)
+    finite = arr[np.isfinite(arr)]
+    if finite.size == 0:
+        return med, 0.0, 0.0
+    centered = finite - np.mean(finite)
     m2 = float(np.mean(centered ** 2))
     m3 = float(np.mean(centered ** 3))
     skew = 0.0 if m2 == 0.0 else m3 / m2 ** 1.5
@@ -199,6 +205,10 @@ class CertificationReport:
             "stats": {"median": med, "variance": var, "skewness": skew},
             "curve": [[r, a] for r, a in self.curve],
         }
+        unbounded = int(np.count_nonzero(np.isinf(self.radius)))
+        if unbounded:
+            # absent means 0, so a bounded report keeps the version-1 layout
+            header["unbounded"] = unbounded
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header) + "\n")
             for rec in self.records:

@@ -1,4 +1,5 @@
-"""Hermitian positive-definite solves via Cholesky factorization.
+"""Hermitian positive-definite solves via Cholesky factorization, and the
+block reflector `reflect` built on them from a Gram's factor.
 
 The factorization and the diagonal blocks of the triangular solves run on
 numpy's LAPACK. The rank-deficiency contract stays under our control: after
@@ -26,7 +27,8 @@ _BLOCK = 48
 
 
 def _conj_t(a: np.ndarray) -> np.ndarray:
-    return np.conj(np.swapaxes(a, -1, -2))
+    # a view of a real array, so numpy computes V^T V as a symmetric product
+    return np.swapaxes(a, -1, -2).conj()
 
 
 def _singular(j: int, bad: np.ndarray, pivot: np.ndarray,
@@ -155,14 +157,34 @@ def solve_upper_conj(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     return out
 
 
-def solve_hpd(a: np.ndarray, b: np.ndarray, factor: np.ndarray | None = None) -> np.ndarray:
+def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve a x = b for Hermitian positive-definite a (batched).
 
-    Cholesky factorization followed by the two triangular solves; a
-    precomputed factor can be passed to reuse it.
+    Cholesky factorization followed by the two triangular solves.
     """
-    l = cholesky(a) if factor is None else factor
+    l = cholesky(a)
     return solve_upper_conj(l, solve_lower(l, b))
+
+
+def gram_factor(v: np.ndarray) -> np.ndarray:
+    """Cholesky factor L of the Gram matrix V^H V = L L^H (batched).
+
+    Raises SingularParameter, as `cholesky` does, when V loses column rank.
+    """
+    return cholesky(_conj_t(v) @ v)
+
+
+def reflect(v: np.ndarray, factor: np.ndarray, x: np.ndarray
+            ) -> tuple[np.ndarray, np.ndarray]:
+    """Block reflector y = x - 2 V S with S = G^{-1} V^H x, G = V^H V.
+
+    `factor` is G's Cholesky factor (`gram_factor(v)`), so no Gram is formed
+    or factored here. Batched over leading axes; `x` broadcasts against
+    them (an identity `x` yields the reflector matrix itself). Returns y and
+    S, which the taped adjoint reuses.
+    """
+    s = solve_upper_conj(factor, solve_lower(factor, _conj_t(v) @ x))
+    return x - 2.0 * (v @ s), s
 
 
 def hermitian_deviation(a: np.ndarray) -> float:

@@ -21,9 +21,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
+from . import linalg
 from .certify import LipschitzModel
 from .errors import ContractError
-from .ortho import ConvGeometry, conv_apply, conv_prepare, identity_kernel
+from .ortho import (ConvGeometry, ConvOperator, conv_apply, conv_prepare,
+                    identity_kernel)
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
 
@@ -44,21 +46,19 @@ def _flatten(ops, x):
 
 
 def _reflector(ops, veff, m):
-    """W = I - 2 V (V^T V)^{-1} V^T as backend ops (m x m)."""
-    vt = ops.transpose(veff, (1, 0))
-    gram = ops.matmul(vt, veff)
-    sol = ops.solve_h(gram, vt)
-    return ops.sub(ops.constant(np.eye(m)), ops.scale(ops.matmul(veff, sol), 2.0))
+    """W = I - 2 V (V^T V)^{-1} V^T as backend ops (m x m): the reflector
+    applied to the identity."""
+    factor = linalg.gram_factor(ops.value(veff))
+    return ops.reflect(veff, factor, ops.constant(np.eye(m)))
 
 
 def _constants(ops, operator):
-    """A prepared operator (None, an array, or a tuple of arrays and plain
-    floats) with its arrays as constants."""
+    """A prepared operator (None, an array, or a `ConvOperator`) with its
+    backend values as constants."""
     if operator is None:
         return None
-    if isinstance(operator, tuple):
-        return type(operator)(*(a if isinstance(a, float) else ops.constant(a)
-                                for a in operator))
+    if isinstance(operator, ConvOperator):
+        return operator._replace(vf=ops.constant(operator.vf))
     return ops.constant(operator)
 
 

@@ -2,11 +2,13 @@
 
 The central construction is the block reflector W = I - 2 V (V^T V)^{-1} V^T
 built from an unconstrained low-rank parameter V: W is symmetric, orthogonal,
-and involutory, with n eigenvalues -1 and m-n eigenvalues +1. The
-convolutional variant applies the same formula per spatial frequency after a
-unitary 2D DFT, which yields a real, orthogonal multi-channel circular
-convolution. The kernel's spectrum is the DFT of its k x k taps, one matmul
-with the tap DFT matrix in frequency-major layout.
+and involutory, with n eigenvalues -1 and m-n eigenvalues +1. One primitive
+applies it, `linalg.reflect` (taped: `tape.t_reflect`), from the Cholesky
+factor of V^H V; the dense W is that primitive applied to the identity. The
+convolutional variant applies it per spatial frequency after a unitary 2D
+DFT, which yields a real, orthogonal multi-channel circular convolution.
+The kernel's spectrum is the DFT of its k x k taps, one matmul with the tap
+DFT matrix in frequency-major layout.
 A real kernel and a real input have conjugate-symmetric spectra, so the
 reflector at -f is the conjugate of the one at f: the conv builds and applies
 it only at the half-plane representatives (`fft.HalfPlane`). The input's
@@ -16,7 +18,8 @@ imaginary residue is read from the s0 self-conjugate rows of the output
 spectrum, the only rows the inverse does not pair into a real sum.
 
 Two competing constructions are provided for comparison: the Cayley
-transform of a skew-symmetrized parameter, and the Newton-iteration polar
+transform of a skew-symmetrized parameter (`cayley_transform`, batched, is
+shared with the per-frequency benchmark), and the Newton-iteration polar
 orthogonalization (with its per-iteration conditioning diagnostics, since
 the iteration carries no orthogonality guarantee for ill-conditioned
 parameters). A brute-force circulant materialization serves as the oracle
@@ -60,7 +63,7 @@ class BroParam:
         if self.n >= self.m:
             raise ContractError(
                 f"need n < m for a non-degenerate reflector, got {self.m}x{self.n}")
-        linalg.cholesky(self.v.T @ self.v)  # full column rank or SingularParameter
+        linalg.gram_factor(self.v)  # full column rank or SingularParameter
 
 
 @dataclass
@@ -127,9 +130,7 @@ def block_reflector(v: np.ndarray) -> np.ndarray:
     SingularParameter from the internal Cholesky factorization.
     """
     v = as_real_array(v)
-    m = v.shape[0]
-    z = linalg.solve_hpd(v.T @ v, v.T)
-    return np.eye(m) - 2.0 * (v @ z)
+    return linalg.reflect(v, linalg.gram_factor(v), np.eye(v.shape[0]))[0]
 
 
 def bro_orthogonalize(p: BroParam) -> Tensor:
@@ -161,19 +162,18 @@ class ConvOperator(NamedTuple):
 
     `vf` is the kernel spectrum at the m half-plane representatives of the
     padded p x p grid (`fft.half_plane(p).rep`), (m, c, n), computed by
-    `conv_prepare` straight from the k x k taps; `vh` is its conjugate
-    transpose and `gram` = vh @ vf. An eagerly prepared operator also
-    carries the Gram's Cholesky factor, so applying it never refactors; a
-    recorded one leaves `factor` None and factors inside the taped solve.
-    `kernel_imag` is the kernel's largest imaginary magnitude, which
-    `conv_apply` requires to be 0: the half plane holds only for a real kernel.
+    `conv_prepare` straight from the k x k taps; it is a backend value (a
+    tape variable when recorded). `factor` is the Cholesky factor of each
+    frequency's Gram vf^H vf, (m, n, n), and `kernel_imag` the kernel's
+    largest imaginary magnitude; both are plain data, computed once from
+    the spectrum's value. Applying the operator, or differentiating it,
+    never refactors. `conv_apply` requires `kernel_imag` to be 0: the half
+    plane holds only for a real kernel.
     """
 
     vf: object
-    vh: object
-    gram: object
-    factor: object = None
-    kernel_imag: float = 0.0
+    factor: np.ndarray
+    kernel_imag: float
 
 
 def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
@@ -193,10 +193,7 @@ def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
     taps = ops.reshape(ops.transpose(v_eff, (2, 3, 0, 1)), (k * k, c * n))
     dft = half_tap_dft(size, k)
     vf = ops.reshape(ops.matmul(ops.constant(dft), taps), (dft.shape[0], c, n))
-    vh = ops.conj(ops.transpose(vf, (0, 2, 1)))
-    gram = ops.matmul(vh, vf)
-    factor = None if ops.recording else linalg.cholesky(gram)
-    return ConvOperator(vf, vh, gram, factor, _imag_max(value))
+    return ConvOperator(vf, linalg.gram_factor(ops.value(vf)), _imag_max(value))
 
 
 def _imag_max(a: np.ndarray) -> float:
@@ -230,9 +227,7 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     xp = ops.pad_last2(x, kp, kp) if kp else x
     xf = ops.rdft_half(xp)                              # (m, c, B)
 
-    rhs = ops.matmul(op.vh, xf)
-    sol = ops.solve_h(op.gram, rhs, op.factor)
-    yf = ops.sub(xf, ops.scale(ops.matmul(op.vf, sol), 2.0))
+    yf = ops.reflect(op.vf, op.factor, xf)
 
     worst = imag_residue(ops.value(yf), size)
     tol = CONV_IMAG_TOL * max(1.0, float(np.abs(xv).max()) if xv.size else 0.0)
@@ -291,21 +286,23 @@ def semi_ortho_truncate(w, c_out: int, c_in: int, ortho_tol: float = 1e-8) -> Te
     return Tensor(w[:c_out, :c_in])
 
 
-def cayley_orthogonalize(v) -> Tensor:
-    """Cayley transform W = (I - A)(I + A)^{-1} of A = (v - v^T)/2.
+def cayley_transform(v: np.ndarray) -> np.ndarray:
+    """Cayley transform W = (I - A)(I + A)^{-1} of A = (v - v^H)/2, batched.
 
-    I + A is always invertible for real skew-symmetric A; the solve is
-    routed through the SPD system I - A^2 = I + A^T A.
+    I + A is always invertible for skew-Hermitian A; the solve is routed
+    through the Hermitian positive-definite system I - A^2 = I + A^H A.
     """
+    a = 0.5 * (v - np.swapaxes(v, -1, -2).conj())
+    eye = np.eye(v.shape[-1])
+    return linalg.solve_hpd(eye - a @ a, (eye - a) @ (eye - a))
+
+
+def cayley_orthogonalize(v) -> Tensor:
+    """Cayley transform of a real square parameter (`cayley_transform`)."""
     v = as_real_array(v)
     if v.ndim != 2 or v.shape[0] != v.shape[1]:
         raise ShapeError(f"expected a square matrix, got {v.shape}")
-    m = v.shape[0]
-    a = 0.5 * (v - v.T)
-    eye = np.eye(m)
-    spd = eye - a @ a
-    num = (eye - a) @ (eye - a)
-    return Tensor(linalg.solve_hpd(spd, num))
+    return Tensor(cayley_transform(v))
 
 
 def lot_orthogonalize(v, iters: int) -> tuple[Tensor, list[float]]:

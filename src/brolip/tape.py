@@ -8,8 +8,10 @@ cotangent into an input that does not require grad. Values are float64 or
 complex128 ndarrays.
 Complex cotangents follow the real-pairing convention (d/d re + i d/d im),
 under which the adjoint of a complex-linear map is its conjugate transpose;
-with that convention the same matmul/solve rules cover both dtypes. A real
-operand of a complex result (matmul, rdft_half) gets the real part.
+with that convention the same matmul and reflector rules cover both dtypes.
+A real operand of a complex result (matmul, reflect, rdft_half) gets the
+real part. The block reflector is one node, `t_reflect`, with a closed-form
+adjoint that reuses the forward's Cholesky factor, so no VJP factors.
 
 A tape instance is single-threaded; independent tapes may run in parallel.
 """
@@ -136,15 +138,6 @@ def _cotangent(g, real_input):
 def t_add(a: Var, b: Var) -> Var:
     return a.tape._append("add", a.value + b.value, (a.idx, b.idx),
                           lambda g: (g, g))
-
-
-def t_sub(a: Var, b: Var) -> Var:
-    return a.tape._append("sub", a.value - b.value, (a.idx, b.idx),
-                          lambda g: (g, -g))
-
-
-def t_neg(a: Var) -> Var:
-    return a.tape._append("neg", -a.value, (a.idx,), lambda g: (-g,))
 
 
 def t_scale(a: Var, c: float) -> Var:
@@ -295,27 +288,28 @@ def t_irdft_half(a: Var, p: int) -> Var:
     return a.tape._append("irdft_half", _irdft_half(a.value, p), (a.idx,), vjp)
 
 
-def t_solve_h(a: Var, b: Var, factor: Var | None = None) -> Var:
-    """Solve a x = b for Hermitian positive-definite a (batched).
+def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
+    """Block reflector y = x - 2 V S, S = G^{-1} V^H x, as one node.
 
-    `factor`, the Cholesky factor of a frozen `a`, replaces refactoring;
-    it is rejected when `a` requires grad.
+    `factor`, the Cholesky factor of G = V^H V (`linalg.gram_factor` of
+    `v.value`), is plain data, not a node; the forward is `linalg.reflect`
+    and both adjoints reuse the factor. With T = G^{-1} V^H ybar and
+    P = V G^{-1} V^H: xbar = ybar - 2 V T, the reflector applied to ybar,
+    and vbar = -2 (I - P)(ybar S^H + x T^H) = -((ybar + xbar) S^H +
+    (x + y) T^H), since W = I - 2P.
     """
-    a_grad = a.requires_grad
-    if factor is None:
-        l = linalg.cholesky(a.value)
-    elif a_grad:
-        raise ContractError("a precomputed factor needs a matrix that requires no grad")
-    else:
-        l = factor.value
-    x = linalg.solve_upper_conj(l, linalg.solve_lower(l, b.value))
+    vv, xv = v.value, x.value
+    y, s = linalg.reflect(vv, factor, xv)
+    v_grad, x_grad = v.requires_grad, x.requires_grad
+    v_real, x_real = vv.dtype != np.complex128, xv.dtype != np.complex128
 
     def vjp(g):
-        gb = linalg.solve_upper_conj(l, linalg.solve_lower(l, g))
-        ga = -gb @ np.conj(_swap(x)) if a_grad else None
-        return ga, gb
+        gx, t = linalg.reflect(vv, factor, g)
+        gv = -((g + gx) @ np.conj(_swap(s)) + (xv + y) @ np.conj(_swap(t))) if v_grad else None
+        return (_cotangent(gv, v_real) if v_grad else None,
+                _cotangent(gx, x_real) if x_grad else None)
 
-    return a.tape._append("solve_h", x, (a.idx, b.idx), vjp)
+    return v.tape._append("reflect", y, (v.idx, x.idx), vjp)
 
 
 def _maxmin_fwd(a: np.ndarray, axis: int):
@@ -459,8 +453,6 @@ def grad_check(f: Callable[[Var], Var], x, h: float = 1e-5) -> float:
 class EagerOps:
     """Executes the primitive set directly on ndarrays."""
 
-    recording = False
-
     @staticmethod
     def constant(a):
         return np.asarray(a)
@@ -468,10 +460,6 @@ class EagerOps:
     @staticmethod
     def add(a, b):
         return a + b
-
-    @staticmethod
-    def sub(a, b):
-        return a - b
 
     @staticmethod
     def scale(a, c):
@@ -494,10 +482,6 @@ class EagerOps:
         return np.reshape(a, shape)
 
     @staticmethod
-    def conj(a):
-        return np.conj(a)
-
-    @staticmethod
     def pad_last2(a, before, after):
         return _pad_last2(a, before, after)
 
@@ -514,8 +498,8 @@ class EagerOps:
         return _irdft_half(a, p)
 
     @staticmethod
-    def solve_h(a, b, factor=None):
-        return linalg.solve_hpd(a, b, factor)
+    def reflect(v, factor, x):
+        return linalg.reflect(v, factor, x)[0]
 
     @staticmethod
     def maxmin(a, axis):
@@ -541,8 +525,6 @@ class EagerOps:
 class TapeOps:
     """Records the primitive set on a tape for later backpropagation."""
 
-    recording = True
-
     def __init__(self, tape: Tape):
         self.tape = tape
 
@@ -551,9 +533,6 @@ class TapeOps:
 
     def add(self, a, b):
         return t_add(a, b)
-
-    def sub(self, a, b):
-        return t_sub(a, b)
 
     def scale(self, a, c):
         return t_scale(a, c)
@@ -570,9 +549,6 @@ class TapeOps:
     def reshape(self, a, shape):
         return t_reshape(a, shape)
 
-    def conj(self, a):
-        return t_conj(a)
-
     def pad_last2(self, a, before, after):
         return t_pad_last2(a, before, after)
 
@@ -585,8 +561,8 @@ class TapeOps:
     def irdft_half(self, a, p):
         return t_irdft_half(a, p)
 
-    def solve_h(self, a, b, factor=None):
-        return t_solve_h(a, b, factor)
+    def reflect(self, v, factor, x):
+        return t_reflect(v, factor, x)
 
     def maxmin(self, a, axis):
         return t_maxmin(a, axis)

@@ -109,7 +109,7 @@ def test_input_transform_phase_runs():
 @pytest.mark.parametrize("m", [128, 256])
 def test_dense_rank_scaling_monotone(m):
     res = [bench_dense("bro", m, n, reps=30, seed=0)
-           for n in (m // 8, m // 2, 3 * m // 4)]
+           for n in (m // 16, m // 2, 15 * m // 16)]
     assert medians_non_decreasing(res)
 
 

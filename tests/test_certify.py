@@ -1,5 +1,6 @@
 """Margins, radii, composition, distribution statistics, report IO."""
 
+import json
 import math
 
 import numpy as np
@@ -116,6 +117,16 @@ class TestRadiusStats:
         with pytest.raises(ContractError):
             radius_stats([])
 
+    @pytest.mark.filterwarnings("error")
+    def test_unbounded_radii_enter_only_the_median(self):
+        # moments of the finite radii (0, 0, 3), as in the oracle above
+        med, var, skew = radius_stats([np.inf, 0.0, 3.0, 0.0, np.inf])
+        assert med == 3.0
+        assert var == pytest.approx(2.0)
+        assert skew == pytest.approx(2.0 / 2.0 ** 1.5)
+        assert radius_stats([1.0, 2.0, np.inf]) == (2.0, 0.25, 0.0)
+        assert radius_stats([np.inf, np.inf]) == (np.inf, 0.0, 0.0)
+
 
 def _report(radii, correct):
     recs = [SampleRecord(0, 0 if ok else 1, 1.0 if ok else -1.0,
@@ -189,6 +200,17 @@ class TestReportAssembly:
             assert (a.true_label, a.predicted) == (b.true_label, b.predicted)
             assert a.radius == b.radius and a.margin == b.margin
 
+    def test_unbounded_radii_are_counted_in_the_header(self, tmp_path):
+        # identical head rows certify the correct samples at +inf
+        z = np.array([[2.0, 0.0], [1.0, 0.5], [0.0, 1.0]])
+        rep = build_report(z, [0, 0, 0], 1.0, head_rows=np.ones((2, 2)) / math.sqrt(2))
+        assert rep.radius.tolist() == [np.inf, np.inf, 0.0]
+        path = tmp_path / "report.txt"
+        rep.save(path)
+        header = json.loads(path.read_text().splitlines()[0])
+        assert header["unbounded"] == 2
+        assert header["stats"] == {"median": np.inf, "variance": 0.0, "skewness": 0.0}
+
     def test_corrupted_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not json\n")
@@ -249,9 +271,6 @@ _ROUTES = [(c, head) for c in (2, 3, 10) for head in (None, "pair", "all")]
 
 
 class TestBatchReport:
-    # an all-identical head certifies at +inf, whose variance in the saved
-    # header is NaN
-    @pytest.mark.filterwarnings("ignore:invalid value encountered:RuntimeWarning")
     @pytest.mark.parametrize("c,head", _ROUTES)
     def test_columns_equal_the_scalar_loop_bit_for_bit(self, c, head, tmp_path):
         z, labels = _batch(c, seed=c)

@@ -3,10 +3,12 @@
 import numpy as np
 import pytest
 
+from brolip import linalg
 from brolip.errors import ContractError
 from brolip.models import (LayerSpec, build_model, bronet_mini,
                            lipconvnet_mini)
-from brolip.tape import EagerOps, grad_check, t_l2_pool, t_maxmin, t_mul, t_sum
+from brolip.tape import (EagerOps, Tape, grad_check, t_l2_pool, t_maxmin, t_mul,
+                         t_sum)
 
 
 class TestMaxMin:
@@ -148,3 +150,26 @@ class TestEndToEndNormControl:
         net = build_model(specs, seed=0)
         out = net.forward(np.random.default_rng(1).standard_normal((3, 2, 4, 4)))
         assert out.shape == (3, 2)
+
+
+def test_taped_step_backward_never_factors(monkeypatch):
+    # the forward factors each reflector's Gram once (two convs, one
+    # semi-orthogonal layer); every VJP reuses those factors
+    net = build_model(lipconvnet_mini(2, 4), 0)
+    rng = np.random.default_rng(5)
+    x = rng.standard_normal((3,) + net.input_shape)
+    calls = []
+    cholesky = linalg.cholesky
+
+    def counted(a):
+        calls.append(a.shape)
+        return cholesky(a)
+
+    monkeypatch.setattr(linalg, "cholesky", counted)
+    tape = Tape()
+    logits, _, params = net.forward_tape(tape, x)
+    out = t_sum(t_mul(logits, tape.constant(rng.standard_normal(logits.value.shape))))
+    assert len(calls) == 3
+    grads = tape.backward(out)
+    assert len(calls) == 3
+    assert all(np.any(grads[var.idx]) for var in params.values())

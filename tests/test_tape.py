@@ -7,10 +7,10 @@ import pytest
 
 from brolip import linalg
 from brolip.errors import ContractError
-from brolip.tape import (Tape, grad_check, t_conj, t_custom_scalar, t_l2_pool,
-                         t_matmul, t_maxmin, t_mul, t_real, t_row_normalize,
-                         t_scale_by, t_slice2d, t_solve_h, t_sum, t_transpose,
-                         tape_backward)
+from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_conj,
+                         t_custom_scalar, t_l2_pool, t_matmul, t_maxmin, t_mul,
+                         t_real, t_reflect, t_row_normalize, t_scale_by,
+                         t_slice2d, t_sum, tape_backward)
 
 
 def test_square_gradient():
@@ -72,18 +72,71 @@ def test_composite_matches_finite_differences():
     assert grad_check(f, rng.standard_normal((4, 3)), h=1e-5) < 1e-7
 
 
-def test_solve_gradient_matches_finite_differences():
+def _reflect_readout(v, x, r):
+    """sum(r * y * y) for y = reflect(v, x): nonlinear in both operands
+    (|y| alone is |x|, whatever v is)."""
+    y = t_reflect(v, linalg.gram_factor(v.value), x)
+    return t_sum(t_real(t_mul(t_mul(y, y), v.tape.constant(r))))
+
+
+@pytest.mark.parametrize("wrt", ["v", "x"])
+@pytest.mark.parametrize("identity", [True, False])
+def test_reflect_gradient_matches_finite_differences(wrt, identity):
     rng = np.random.default_rng(2)
-    rhs = rng.standard_normal((5, 2))
+    v0 = rng.standard_normal((6, 2))
+    x0 = np.eye(6) if identity else rng.standard_normal((6, 3))
+    r = rng.standard_normal(x0.shape)
+    if wrt == "v":
+        f = lambda v: _reflect_readout(v, v.tape.constant(x0), r)
+    else:
+        f = lambda x: _reflect_readout(x.tape.constant(v0), x, r)
+    assert grad_check(f, v0 if wrt == "v" else x0, h=1e-6) < 1e-8
 
-    def f(v):
-        tape = v.tape
-        b = tape.leaf(rhs, requires_grad=False)
-        vt = t_transpose(v, (1, 0))
-        x = t_solve_h(t_matmul(vt, v), t_matmul(vt, b))
-        return t_sum(t_mul(x, x))
 
-    assert grad_check(f, rng.standard_normal((5, 3)), h=1e-6) < 1e-6
+def _complex_grad_error(f, z0, h=1e-6):
+    """grad_check for a complex leaf: central differences along the real and
+    the imaginary part of each entry, combined as d/d re + i d/d im."""
+    tape = Tape()
+    leaf = tape.leaf(z0)
+    analytic = tape.backward(f(leaf))[leaf.idx]
+    numeric = np.zeros_like(z0)
+    for idx in np.ndindex(z0.shape):
+        for unit in (1.0, 1j):
+            up, down = z0.copy(), z0.copy()
+            up[idx] += h * unit
+            down[idx] -= h * unit
+            numeric[idx] += unit * (float(f(Tape().leaf(up)).value)
+                                    - float(f(Tape().leaf(down)).value)) / (2 * h)
+    return float(np.max(np.abs(analytic - numeric) / np.maximum(1.0, np.abs(analytic))))
+
+
+@pytest.mark.parametrize("wrt", ["v", "x"])
+def test_reflect_gradient_for_complex_per_frequency_operands(wrt):
+    # four frequencies of a c = 6, rank-2 spectrum applied to a batch of 3
+    rng = np.random.default_rng(8)
+
+    def cplx(*shape):
+        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+    v0, x0, r = cplx(4, 6, 2), cplx(4, 6, 3), cplx(4, 6, 3)
+    if wrt == "v":
+        err = _complex_grad_error(lambda v: _reflect_readout(v, v.tape.constant(x0), r), v0)
+    else:
+        err = _complex_grad_error(lambda x: _reflect_readout(x.tape.constant(v0), x, r), x0)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_taped_reflect_value_equals_the_eager_form(dtype):
+    rng = np.random.default_rng(9)
+    v0 = rng.standard_normal((5, 7, 3)).astype(dtype)
+    x0 = rng.standard_normal((5, 7, 4)).astype(dtype)
+    if dtype is complex:
+        v0 += 1j * rng.standard_normal(v0.shape)
+    factor = linalg.gram_factor(v0)
+    tape = Tape()
+    taped = TapeOps(tape).reflect(tape.leaf(v0), factor, tape.leaf(x0))
+    assert np.array_equal(taped.value, EagerOps.reflect(v0, factor, x0))
 
 
 def test_slice_row_normalize_scale_by():
@@ -163,19 +216,3 @@ def test_vjp_on_a_branch_without_grad_leaves_is_never_called():
     grads = tape.backward(out)
     assert set(grads) == {param.idx}
     np.testing.assert_array_equal(grads[param.idx], np.full(3, 3.0))
-
-
-def test_solve_h_reuses_a_frozen_factor_and_rejects_it_for_a_grad_matrix():
-    rng = np.random.default_rng(7)
-    m = rng.standard_normal((5, 3))
-    a0, b0 = m.T @ m, rng.standard_normal((3, 2))
-    tape = Tape()
-    a = tape.leaf(a0, requires_grad=False)
-    b = tape.leaf(b0)
-    factor = tape.constant(linalg.cholesky(a0))
-    reused, fresh = t_solve_h(a, b, factor), t_solve_h(a, b)
-    assert np.array_equal(reused.value, fresh.value)
-    g_reused = tape.backward(t_sum(reused))[b.idx]
-    assert np.array_equal(g_reused, tape.backward(t_sum(fresh))[b.idx])
-    with pytest.raises(ContractError):
-        t_solve_h(tape.leaf(a0), b, factor)
