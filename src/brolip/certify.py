@@ -195,6 +195,8 @@ class CertificationReport:
         return int(np.count_nonzero(self.correct())) / self.true_label.size
 
     def save(self, path) -> None:
+        """Write the report as strict JSON lines: a header, then one record
+        per sample. An unbounded (+inf) radius or median is written as null."""
         med, var, skew = self.stats()
         header = {
             "version": REPORT_VERSION,
@@ -202,7 +204,8 @@ class CertificationReport:
             "lipschitz_bound": self.lipschitz_bound,
             "count": int(self.true_label.size),
             "clean_accuracy": self.clean_accuracy(),
-            "stats": {"median": med, "variance": var, "skewness": skew},
+            "stats": {"median": None if med == math.inf else med,
+                      "variance": var, "skewness": skew},
             "curve": [[r, a] for r, a in self.curve],
         }
         unbounded = int(np.count_nonzero(np.isinf(self.radius)))
@@ -210,11 +213,13 @@ class CertificationReport:
             # absent means 0, so a bounded report keeps the version-1 layout
             header["unbounded"] = unbounded
         with open(path, "w", encoding="utf-8") as fh:
-            fh.write(json.dumps(header) + "\n")
+            fh.write(json.dumps(header, allow_nan=False) + "\n")
             for rec in self.records:
                 fh.write(json.dumps({
                     "true": rec.true_label, "pred": rec.predicted,
-                    "margin": rec.margin, "radius": rec.radius}) + "\n")
+                    "margin": rec.margin,
+                    "radius": None if rec.radius == math.inf else rec.radius},
+                    allow_nan=False) + "\n")
 
     @classmethod
     def load(cls, path) -> "CertificationReport":
@@ -234,8 +239,10 @@ class CertificationReport:
                 raw = json.loads(ln)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"bad report record: {exc}") from exc
+            # null, or the bare Infinity of earlier files, is an unbounded radius
+            radius = math.inf if raw["radius"] is None else float(raw["radius"])
             records.append(SampleRecord(int(raw["true"]), int(raw["pred"]),
-                                        float(raw["margin"]), float(raw["radius"])))
+                                        float(raw["margin"]), radius))
         if len(records) != header.get("count"):
             raise FormatError("record count does not match header")
         curve = [(float(r), float(a)) for r, a in header.get("curve", [])]

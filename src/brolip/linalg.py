@@ -1,18 +1,19 @@
 """Hermitian positive-definite solves via Cholesky factorization, and the
 block reflector `reflect` built on them from a Gram's factor.
 
-The factorization and the diagonal blocks of the triangular solves run on
-numpy's LAPACK. The rank-deficiency contract stays under our control: after
-factoring, a pivot L[j, j]^2 at or below 1e-12 times the matrix trace raises
-`SingularParameter` instead of silently regularizing, because downstream
-orthogonality certificates depend on the solve being exact. When LAPACK
-itself rejects the matrix, an unblocked elimination re-runs it only to find
-the failing pivot. Non-finite entries are rejected before factoring.
+The factorization runs on numpy's LAPACK; the triangular solves are one
+blocked substitution of our own, with no LU anywhere. The rank-deficiency
+contract stays under our control: after factoring, a pivot L[j, j]^2 at or
+below 1e-12 times the matrix trace raises `SingularParameter` instead of
+silently regularizing, because downstream orthogonality certificates depend
+on the solve being exact. When LAPACK itself rejects the matrix, an
+unblocked elimination re-runs it only to find the failing pivot. Non-finite
+entries are rejected before factoring.
 
 All routines accept a stack of matrices (leading batch axes) and work for
 float64 and complex128 alike; `np.conj` on real data is the identity.
 Substitution is blocked so the heavy lifting happens in large batched
-matmuls.
+matmuls; within a diagonal block it runs row by row.
 """
 
 from __future__ import annotations
@@ -100,61 +101,48 @@ def cholesky(a: np.ndarray) -> np.ndarray:
     return out
 
 
-def _solve_lower_small(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    x = np.array(b, copy=True, dtype=np.result_type(l.dtype, b.dtype))
-    for i in range(l.shape[-1]):
-        if i:
-            x[..., i:i + 1, :] -= l[..., i:i + 1, :i] @ x[..., :i, :]
-        x[..., i, :] /= l[..., i, i][..., None]
+def _substitute(l: np.ndarray, b: np.ndarray, upper: bool) -> np.ndarray:
+    """x with L x = b by forward substitution, or with L^H x = b by back
+    substitution (`upper`), batched over leading axes.
+
+    Blocked: each block of rows first subtracts its coupling to the solved
+    blocks in one large matmul, then solves its diagonal block row by row,
+    so no diagonal block is ever LU-factored. Rows of L^H are conjugated
+    columns of L.
+    """
+    n = l.shape[-1]
+    # C order whatever b's layout (reflect passes a transposed one), so each
+    # row of x is contiguous
+    x = np.array(b, dtype=np.result_type(l.dtype, b.dtype), order="C", copy=True)
+    record_alloc(x.size)
+    starts = range(0, n, _BLOCK)
+    for j0 in (reversed(starts) if upper else starts):
+        j1 = min(j0 + _BLOCK, n)
+        if upper:
+            if j1 < n:
+                x[..., j0:j1, :] -= _conj_t(l[..., j1:, j0:j1]) @ x[..., j1:, :]
+            for i in range(j1 - 1, j0 - 1, -1):
+                if i + 1 < j1:
+                    x[..., i:i + 1, :] -= _conj_t(l[..., i + 1:j1, i:i + 1]) @ x[..., i + 1:j1, :]
+                x[..., i, :] /= np.conj(l[..., i, i])[..., None]
+        else:
+            if j0:
+                x[..., j0:j1, :] -= l[..., j0:j1, :j0] @ x[..., :j0, :]
+            for i in range(j0, j1):
+                if i > j0:
+                    x[..., i:i + 1, :] -= l[..., i:i + 1, j0:i] @ x[..., j0:i, :]
+                x[..., i, :] /= l[..., i, i][..., None]
     return x
 
 
-def _blocks(n: int):
-    return [(j0, min(j0 + _BLOCK, n)) for j0 in range(0, n, _BLOCK)]
-
-
 def solve_lower(l: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Solve L x = b by blocked forward substitution (L lower, batched).
-
-    Diagonal blocks are solved by LAPACK and the off-diagonal updates run
-    as large matmuls, the standard BLAS-3 substitution layout.
-    """
-    n = l.shape[-1]
-    if n <= _BLOCK:
-        out = _solve_lower_small(l, b)
-        record_alloc(out.size)
-        return out
-    out = np.empty(np.broadcast_shapes(l.shape[:-2] + (1, 1), b.shape[:-2] + (1, 1))[:-2]
-                   + b.shape[-2:], dtype=np.result_type(l.dtype, b.dtype))
-    record_alloc(out.size)
-    for j0, j1 in _blocks(n):
-        acc = b[..., j0:j1, :]
-        if j0:
-            acc = acc - l[..., j0:j1, :j0] @ out[..., :j0, :]
-        out[..., j0:j1, :] = np.linalg.solve(l[..., j0:j1, j0:j1], acc)
-    return out
+    """Solve L x = b by blocked forward substitution (L lower, batched)."""
+    return _substitute(l, b, upper=False)
 
 
 def solve_upper_conj(l: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Solve L^H x = b by blocked back substitution against the lower factor."""
-    n = l.shape[-1]
-    if n <= _BLOCK:
-        x = np.array(b, copy=True, dtype=np.result_type(l.dtype, b.dtype))
-        record_alloc(x.size)
-        for i in range(n - 1, -1, -1):
-            if i + 1 < n:
-                x[..., i:i + 1, :] -= _conj_t(l[..., i + 1:, i:i + 1]) @ x[..., i + 1:, :]
-            x[..., i, :] /= np.conj(l[..., i, i])[..., None]
-        return x
-    out = np.empty(np.broadcast_shapes(l.shape[:-2] + (1, 1), b.shape[:-2] + (1, 1))[:-2]
-                   + b.shape[-2:], dtype=np.result_type(l.dtype, b.dtype))
-    record_alloc(out.size)
-    for j0, j1 in reversed(_blocks(n)):
-        acc = b[..., j0:j1, :]
-        if j1 < n:
-            acc = acc - _conj_t(l[..., j1:, j0:j1]) @ out[..., j1:, :]
-        out[..., j0:j1, :] = np.linalg.solve(_conj_t(l[..., j0:j1, j0:j1]), acc)
-    return out
+    return _substitute(l, b, upper=True)
 
 
 def solve_hpd(a: np.ndarray, b: np.ndarray) -> np.ndarray:
@@ -183,7 +171,11 @@ def reflect(v: np.ndarray, factor: np.ndarray, x: np.ndarray
     them (an identity `x` yields the reflector matrix itself). Returns y and
     S, which the taped adjoint reuses.
     """
-    s = solve_upper_conj(factor, solve_lower(factor, _conj_t(v) @ x))
+    # V^H x, conjugating the narrower operand: (x^H V)^H copies x and the
+    # product instead of V when x has fewer columns than V
+    s = _conj_t(_conj_t(x) @ v) if x.shape[-1] < v.shape[-1] else _conj_t(v) @ x
+    s = solve_lower(factor, s)  # rebinding frees V^H x before the second solve
+    s = solve_upper_conj(factor, s)
     return x - 2.0 * (v @ s), s
 
 

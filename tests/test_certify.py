@@ -209,7 +209,31 @@ class TestReportAssembly:
         rep.save(path)
         header = json.loads(path.read_text().splitlines()[0])
         assert header["unbounded"] == 2
-        assert header["stats"] == {"median": np.inf, "variance": 0.0, "skewness": 0.0}
+        assert header["stats"] == {"median": None, "variance": 0.0, "skewness": 0.0}
+
+    def test_unbounded_report_is_strict_json_and_round_trips(self, tmp_path):
+        def no_constant(token):
+            raise AssertionError(f"non-JSON token {token}")
+
+        z = np.array([[2.0, 0.0], [1.0, 0.5], [0.0, 1.0]])
+        rep = build_report(z, [0, 0, 0], 1.0, head_rows=np.ones((2, 2)) / math.sqrt(2))
+        path = tmp_path / "report.txt"
+        rep.save(path)
+        lines = [json.loads(ln, parse_constant=no_constant)
+                 for ln in path.read_text().splitlines()]
+        assert lines[0]["stats"]["median"] is None
+        assert [ln["radius"] for ln in lines[1:]] == [None, None, 0.0]
+        assert CertificationReport.load(path).radius.tolist() == [np.inf, np.inf, 0.0]
+
+    def test_bare_infinity_of_earlier_files_loads_as_unbounded(self, tmp_path):
+        path = tmp_path / "old.txt"
+        path.write_text(
+            '{"version": 1, "kind": "certification-report", "lipschitz_bound": 1.0, '
+            '"count": 2, "clean_accuracy": 1.0, "stats": {"median": Infinity, '
+            '"variance": 0.0, "skewness": 0.0}, "curve": [], "unbounded": 2}\n'
+            '{"true": 0, "pred": 0, "margin": 2.0, "radius": Infinity}\n'
+            '{"true": 0, "pred": 0, "margin": 0.5, "radius": Infinity}\n')
+        assert CertificationReport.load(path).radius.tolist() == [np.inf, np.inf]
 
     def test_corrupted_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"

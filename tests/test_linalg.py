@@ -3,9 +3,12 @@
 import numpy as np
 import pytest
 
+import brolip as bl
 from brolip import linalg
 from brolip.errors import ContractError, DivergedError, ShapeError, SingularParameter
-from brolip.linalg import PIVOT_REL_TOL, cholesky, hermitian_solve, solve_hpd
+from brolip.linalg import (PIVOT_REL_TOL, cholesky, hermitian_solve, reflect, solve_hpd,
+                           solve_lower, solve_upper_conj)
+from brolip.tape import Tape, t_reflect, t_real, t_sum
 from brolip.tensor import CTensor
 
 
@@ -33,7 +36,7 @@ def test_projector_property():
     np.testing.assert_allclose(p, p.conj().T, atol=1e-10)
 
 
-@pytest.mark.parametrize("n", [2, 8, 31, 48, 64])
+@pytest.mark.parametrize("n", [2, 8, 31, 48, 49, 64, 97])
 def test_residual_bound_random_spd(n):
     rng = np.random.default_rng(n)
     for trial in range(3):
@@ -173,3 +176,51 @@ def test_solve_hpd_matches_dense_solve_above_block_size():
     x = solve_hpd(a, b)
     ref = np.linalg.solve(a, b)
     assert np.linalg.norm(x - ref) / np.linalg.norm(ref) < 1e-10
+
+
+def _cplx(rng, *shape):
+    return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+
+
+@pytest.mark.parametrize("n", [1, 47, 48, 49, 96, 97, 192])
+def test_substitution_matches_dense_solve_across_block_edges(n):
+    rng = np.random.default_rng(n)
+    g = _cplx(rng, 3, n, n + 4)
+    l = cholesky(g @ np.conj(np.swapaxes(g, -1, -2)))
+    b = _cplx(rng, 3, n, 5)
+    for got, tri in ((solve_lower(l, b), l),
+                     (solve_upper_conj(l, b), np.conj(np.swapaxes(l, -1, -2)))):
+        ref = np.linalg.solve(tri, b)
+        assert np.linalg.norm(got - ref) / np.linalg.norm(ref) < 1e-12
+
+
+@pytest.mark.parametrize("n", [1, 47, 48, 49, 96, 97, 192])
+def test_reflect_matches_the_hpd_formula_and_keeps_norms(n):
+    rng = np.random.default_rng(n + 1)
+    v, x = _cplx(rng, 2, n + 16, n), _cplx(rng, 2, n + 16, 3)
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    y, _ = reflect(v, linalg.gram_factor(v), x)
+    ref = x - 2.0 * (v @ solve_hpd(vh @ v, vh @ x))
+    assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-13
+    np.testing.assert_allclose(np.linalg.norm(y, axis=-2), np.linalg.norm(x, axis=-2),
+                               rtol=1e-13)
+
+
+def test_reflector_above_the_block_size_runs_no_lu(monkeypatch):
+    def no_lu(*args, **kwargs):
+        raise AssertionError("LU solve on the reflector path")
+
+    monkeypatch.setattr(np.linalg, "solve", no_lu)
+    monkeypatch.setattr(np.linalg, "inv", no_lu)
+    rng = np.random.default_rng(11)
+    c, n, size = 96, 64, 4
+    kernel = bl.BroConvKernel(rng.standard_normal((c, n, 1, 1)) / np.sqrt(c))
+    x = rng.standard_normal((2, c, size, size))
+    y = bl.bro_conv_forward(kernel, x, bl.ConvGeometry(c, c, size, 1, keep_padding=True))
+    np.testing.assert_allclose(np.linalg.norm(y.array), np.linalg.norm(x), rtol=1e-12)
+
+    tape = Tape()
+    v, xl = tape.leaf(_cplx(rng, 3, c, n)), tape.leaf(_cplx(rng, 3, c, 2))
+    grads = tape.backward(t_sum(t_real(t_reflect(v, linalg.gram_factor(v.value), xl))))
+    assert np.all(np.isfinite(grads[v.idx]))
+    assert np.all(np.isfinite(grads[xl.idx]))
