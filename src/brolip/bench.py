@@ -18,8 +18,9 @@ import numpy as np
 from . import linalg
 from .errors import ContractError, DivergedError
 from .fft import HalfPlane, fft2, half_plane, half_tap_dft, ifft2
-from .ortho import (block_reflector, cayley_orthogonalize, cayley_transform,
-                    lot_orthogonalize)
+from .ortho import (ConvGeometry, block_reflector, cayley_orthogonalize,
+                    cayley_transform, conv_prepare, lot_orthogonalize)
+from .tape import EagerOps
 from .tensor import alloc_stats, reset_alloc_stats
 
 MIN_REPS = 10
@@ -71,13 +72,14 @@ def _kernel_freq(v: np.ndarray, s: int) -> tuple[HalfPlane, np.ndarray]:
 def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     """Per-frequency reflector construction; the conv 'parameter transform'.
 
-    Processes the half frequency plane and mirrors conjugates; each
-    reflector is `linalg.reflect` applied to the identity, with the
-    Cholesky factor of its Gram matrix.
+    The operator is the models' own, `ortho.conv_prepare` of the kernel;
+    each half-plane reflector is `linalg.reflect` applied to the identity
+    with its factor, and the conjugate partners are mirrored.
     """
-    tables, vf = _kernel_freq(v, s)
-    wf, _ = linalg.reflect(vf, linalg.gram_factor(vf), np.eye(v.shape[0]))
-    return tables.mirror(wf)
+    c, _, k, _ = v.shape
+    op = conv_prepare(EagerOps, v, ConvGeometry(c, c, s, k))
+    wf, _ = linalg.reflect(op.vf, op.factor, np.eye(c))
+    return half_plane(s + 2 * (k // 2)).mirror(wf)
 
 
 def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:

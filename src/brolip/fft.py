@@ -6,8 +6,10 @@ exact arithmetic; they serve as the independent oracle of the cached
 matrix forms below. `half_plane` holds the cached index tables of the
 conjugate pairing f <-> -f that lets real-signal spectra be kept at half
 the frequencies. `tap_dft` and `half_tap_dft` are the DFT as a matrix on
-a kernel's k x k taps, and `real_half` the real GEMM tables that take a
-real p x p signal to its half-plane spectrum and back.
+a kernel's k x k taps, `half_tap_pairs` the products of its entries that
+turn the taps' pairwise products into each frequency's Gram, and
+`real_half` the real GEMM tables that take a real p x p signal to its
+half-plane spectrum and back.
 """
 
 from __future__ import annotations
@@ -96,6 +98,27 @@ def half_tap_dft(p: int, k: int) -> np.ndarray:
         mat = tap_dft(p, k)[half_plane(p).rep]
         mat.flags.writeable = False
         _half_tap_dft_cache[key] = mat
+    return mat
+
+
+_half_tap_pairs_cache: dict[tuple[int, int], np.ndarray] = {}
+
+
+def half_tap_pairs(p: int, k: int) -> np.ndarray:
+    """Tap-pair weights of each half-plane frequency, (m, k^4), cached read-only.
+
+    With F = `half_tap_dft(p, k)`, row f, column t*k^2 + t' holds
+    conj(F[f, t]) F[f, t']. The spectrum at f of taps V_t is
+    sum_t F[f, t] V_t, so its Gram is this row times the tap products
+    V_t^H V_t' stacked in the same (t, t') order.
+    """
+    key = (p, k)
+    mat = _half_tap_pairs_cache.get(key)
+    if mat is None:
+        dft = half_tap_dft(p, k)
+        mat = (np.conj(dft)[:, :, None] * dft[:, None, :]).reshape(dft.shape[0], -1)
+        mat.flags.writeable = False
+        _half_tap_pairs_cache[key] = mat
     return mat
 
 

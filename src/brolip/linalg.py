@@ -8,7 +8,14 @@ below 1e-12 times the matrix trace raises `SingularParameter` instead of
 silently regularizing, because downstream orthogonality certificates depend
 on the solve being exact. When LAPACK itself rejects the matrix, an
 unblocked elimination re-runs it only to find the failing pivot. Non-finite
-entries are rejected before factoring.
+entries are rejected before factoring: one sum of the entries, with the
+element-wise search that names the entry run only when that sum is not
+finite.
+
+A conv's per-frequency Grams come from its k x k taps, not from its
+spectrum (`gram_factor_taps`): one c-deep product of the taps with
+themselves, real for a real kernel, then one GEMM with the cached tap-pair
+weights of the frequencies.
 
 All routines accept a stack of matrices (leading batch axes) and work for
 float64 and complex128 alike; `np.conj` on real data is the identity.
@@ -21,6 +28,7 @@ from __future__ import annotations
 import numpy as np
 
 from .errors import ContractError, DivergedError, ShapeError, SingularParameter
+from .fft import half_tap_pairs
 from .tensor import CTensor, as_complex_array, record_alloc
 
 PIVOT_REL_TOL = 1e-12
@@ -59,6 +67,10 @@ def _chol_panel(work: np.ndarray, tol: np.ndarray, trace: np.ndarray) -> None:
 
 
 def _check_finite(a: np.ndarray) -> None:
+    # any non-finite entry makes the sum non-finite; a finite matrix whose
+    # sum overflows (numpy warns) passes the element-wise search below
+    if np.isfinite(a.sum()):
+        return
     finite = np.isfinite(a)
     if finite.all():
         return
@@ -160,6 +172,25 @@ def gram_factor(v: np.ndarray) -> np.ndarray:
     Raises SingularParameter, as `cholesky` does, when V loses column rank.
     """
     return cholesky(_conj_t(v) @ v)
+
+
+def gram_factor_taps(v: np.ndarray, p: int) -> np.ndarray:
+    """Cholesky factors (m, n, n) of the Grams of a kernel's spectrum.
+
+    `v` holds the k x k taps V_t (c, n) of a kernel (c, n, k, k). Its
+    spectrum at the m half-plane frequencies f of the p x p grid is
+    vf(f) = sum_t F[f, t] V_t with F = `half_tap_dft(p, k)`, so
+    vf(f)^H vf(f) = sum_{t, t'} conj(F[f, t]) F[f, t'] V_t^H V_t'. The taps
+    laid out as Vs (c, k^2 n) give every V_t^H V_t' in one product Vs^H Vs,
+    symmetric and real for a real kernel; one GEMM with
+    `half_tap_pairs(p, k)` (m, k^4) sums them per frequency. Raises as
+    `cholesky` does.
+    """
+    c, n, k, _ = v.shape
+    taps = v.transpose(0, 2, 3, 1).reshape(c, k * k * n)
+    pairs = (_conj_t(taps) @ taps).reshape(k * k, n, k * k, n)
+    pairs = pairs.transpose(0, 2, 1, 3).reshape(k ** 4, n * n)
+    return cholesky((half_tap_pairs(p, k) @ pairs).reshape(-1, n, n))
 
 
 def reflect(v: np.ndarray, factor: np.ndarray, x: np.ndarray

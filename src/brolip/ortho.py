@@ -8,7 +8,10 @@ factor of V^H V; the dense W is that primitive applied to the identity. The
 convolutional variant applies it per spatial frequency after a unitary 2D
 DFT, which yields a real, orthogonal multi-channel circular convolution.
 The kernel's spectrum is the DFT of its k x k taps, one matmul with the tap
-DFT matrix in frequency-major layout.
+DFT matrix in frequency-major layout. Each frequency's Gram, whose Cholesky
+factor the reflector needs, comes from the taps too, never from the
+spectrum: every tap pair's product V_t^H V_t' in one c-deep product, then
+one GEMM with the cached tap-pair weights (`linalg.gram_factor_taps`).
 A real kernel and a real input have conjugate-symmetric spectra, so the
 reflector at -f is the conjugate of the one at f: the conv builds and applies
 it only at the half-plane representatives (`fft.HalfPlane`). The input's
@@ -164,11 +167,12 @@ class ConvOperator(NamedTuple):
     padded p x p grid (`fft.half_plane(p).rep`), (m, c, n), computed by
     `conv_prepare` straight from the k x k taps; it is a backend value (a
     tape variable when recorded). `factor` is the Cholesky factor of each
-    frequency's Gram vf^H vf, (m, n, n), and `kernel_imag` the kernel's
-    largest imaginary magnitude; both are plain data, computed once from
-    the spectrum's value. Applying the operator, or differentiating it,
-    never refactors. `conv_apply` requires `kernel_imag` to be 0: the half
-    plane holds only for a real kernel.
+    frequency's Gram vf^H vf, (m, n, n), built from the taps' pairwise
+    products rather than from `vf` (`linalg.gram_factor_taps`), and
+    `kernel_imag` the kernel's largest imaginary magnitude; both are plain
+    data, computed once from the kernel's value. Applying the operator, or
+    differentiating it, never refactors. `conv_apply` requires
+    `kernel_imag` to be 0: the half plane holds only for a real kernel.
     """
 
     vf: object
@@ -183,7 +187,11 @@ def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
     `half_tap_dft(p, k)` (m, k^2) with the kernel's taps laid out (k^2, c n):
     it equals the representative rows of the unitary `fft2` of the kernel
     zero-padded to p x p, already frequency-major, without the pad, the
-    p x p transform or a layout copy.
+    p x p transform or a layout copy. The Grams vf^H vf are not formed from
+    the spectrum: `linalg.gram_factor_taps` sums the taps' pairwise
+    products V_t^H V_t' with the cached weights `half_tap_pairs(p, k)` and
+    factors the result. It raises `DivergedError` for a non-finite kernel
+    and `SingularParameter` when a frequency's spectrum loses column rank.
     """
     size = geom.padded_size
     c = geom.channels_in
@@ -193,7 +201,7 @@ def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
     taps = ops.reshape(ops.transpose(v_eff, (2, 3, 0, 1)), (k * k, c * n))
     dft = half_tap_dft(size, k)
     vf = ops.reshape(ops.matmul(ops.constant(dft), taps), (dft.shape[0], c, n))
-    return ConvOperator(vf, linalg.gram_factor(ops.value(vf)), _imag_max(value))
+    return ConvOperator(vf, linalg.gram_factor_taps(value, size), _imag_max(value))
 
 
 def _imag_max(a: np.ndarray) -> float:

@@ -292,7 +292,8 @@ def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
     """Block reflector y = x - 2 V S, S = G^{-1} V^H x, as one node.
 
     `factor`, the Cholesky factor of G = V^H V (`linalg.gram_factor` of
-    `v.value`), is plain data, not a node; the forward is `linalg.reflect`
+    `v.value`, or for a conv spectrum `linalg.gram_factor_taps` of its
+    kernel), is plain data, not a node; the forward is `linalg.reflect`
     and both adjoints reuse the factor. With T = G^{-1} V^H ybar and
     P = V G^{-1} V^H: xbar = ybar - 2 V T, the reflector applied to ybar,
     and vbar = -2 (I - P)(ybar S^H + x T^H) = -((ybar + xbar) S^H +

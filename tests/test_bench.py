@@ -9,9 +9,10 @@ from brolip.bench import (CSV_HEADER, MIN_REPS, BenchResult, bench_conv,
                           lot_conv_param_transform, medians_non_decreasing,
                           rank_sweep)
 from brolip.errors import ContractError
-from brolip.fft import fft2
+from brolip.fft import fft2, half_plane
 from brolip import linalg
-from brolip.ortho import BroConvKernel, ConvGeometry, bro_conv_forward
+from brolip.ortho import BroConvKernel, ConvGeometry, bro_conv_forward, conv_prepare
+from brolip.tape import EagerOps
 
 
 def _full_plane_reflectors(v, s):
@@ -31,6 +32,17 @@ def test_half_plane_transform_matches_full_plane():
         v = rng.standard_normal((c, n, k, k))
         np.testing.assert_allclose(bro_conv_param_transform(v, s),
                                    _full_plane_reflectors(v, s), atol=1e-11)
+
+
+@pytest.mark.parametrize("c, n, k, s", [(4, 2, 1, 5), (6, 3, 3, 4), (3, 2, 5, 3)])
+def test_bro_param_transform_is_the_models_operator(c, n, k, s):
+    # the benchmark times what the conv layers run: the reflectors of
+    # conv_prepare's operator, bit for bit
+    v = np.random.default_rng(c + n + k + s).standard_normal((c, n, k, k))
+    op = conv_prepare(EagerOps, v, ConvGeometry(c, c, s, k))
+    wf, _ = linalg.reflect(op.vf, op.factor, np.eye(c))
+    want = half_plane(s + 2 * (k // 2)).mirror(wf)
+    np.testing.assert_array_equal(bro_conv_param_transform(v, s), want)
 
 
 def test_param_transforms_are_unitary_per_frequency():

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from brolip.errors import ContractError, ShapeError, SingularParameter
+from brolip.errors import ContractError, DivergedError, ShapeError, SingularParameter
 from brolip.fft import fft2, half_plane, real_half
 from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
                           conv_apply, conv_prepare, materialize_conv_matrix)
@@ -88,6 +88,36 @@ def test_rank_deficient_frequency_slice():
     with pytest.raises(SingularParameter):
         bro_conv_forward(BroConvKernel(v), np.zeros((3, 4, 4)),
                          ConvGeometry(3, 3, 4, 1))
+
+
+def _zero(v):
+    v[:] = 0.0
+
+
+def _nan_tap(v):
+    v[1, 0, -1, 0] = np.nan
+
+
+def _duplicate_column(v):
+    v[:, 1] = v[:, 0]
+
+
+@pytest.mark.parametrize("taped", [False, True])
+@pytest.mark.parametrize("k", [1, 3])
+@pytest.mark.parametrize("corrupt, error", [(_nan_tap, DivergedError),
+                                            (_zero, SingularParameter),
+                                            (_duplicate_column, SingularParameter)])
+def test_prepare_rejects_a_bad_kernel(corrupt, error, k, taped):
+    v = np.random.default_rng(38).standard_normal((5, 3, k, k))
+    corrupt(v)
+    geom = ConvGeometry(5, 5, 4, k)
+    if taped:
+        tape = Tape()
+        ops, v = TapeOps(tape), tape.leaf(v)
+    else:
+        ops = EagerOps
+    with pytest.raises(error):
+        conv_prepare(ops, v, geom)
 
 
 def test_shape_and_geometry_errors():

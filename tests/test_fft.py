@@ -5,8 +5,8 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from brolip.errors import ShapeError
-from brolip.fft import (fft2, fft2d, half_plane, half_tap_dft, ifft2, ifft2d,
-                        ifft2d_real, imag_residue, real_half, tap_dft)
+from brolip.fft import (fft2, fft2d, half_plane, half_tap_dft, half_tap_pairs, ifft2,
+                        ifft2d, ifft2d_real, imag_residue, real_half, tap_dft)
 from brolip.tensor import CTensor, Tensor
 
 
@@ -148,6 +148,19 @@ def test_half_plane_mirror_rebuilds_a_real_spectrum(p):
     np.testing.assert_array_equal(half_tap_dft(p, 1), tap_dft(p, 1)[tables.rep])
     assert not half_tap_dft(p, 1).flags.writeable
     assert not any(a.flags.writeable for a in tables)
+
+
+@pytest.mark.parametrize("p, k", [(1, 1), (6, 1), (5, 3), (6, 3), (7, 5)])
+def test_half_tap_pairs_are_the_cached_products_of_tap_dft_entries(p, k):
+    dft = half_tap_dft(p, k)
+    pairs = half_tap_pairs(p, k)
+    assert pairs.shape == (dft.shape[0], k ** 4)
+    assert half_tap_pairs(p, k) is pairs
+    assert not pairs.flags.writeable
+    for t in range(k * k):
+        for u in range(k * k):
+            np.testing.assert_array_equal(pairs[:, t * k * k + u],
+                                          np.conj(dft[:, t]) * dft[:, u])
 
 
 @pytest.mark.parametrize("p", [1, 2, 5, 6, 7, 16])

@@ -2,12 +2,14 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import brolip as bl
 from brolip import linalg
 from brolip.errors import ContractError, DivergedError, ShapeError, SingularParameter
-from brolip.linalg import (PIVOT_REL_TOL, cholesky, hermitian_solve, reflect, solve_hpd,
-                           solve_lower, solve_upper_conj)
+from brolip.fft import half_plane, half_tap_dft
+from brolip.linalg import (PIVOT_REL_TOL, cholesky, gram_factor_taps, hermitian_solve,
+                           reflect, solve_hpd, solve_lower, solve_upper_conj)
 from brolip.tape import Tape, t_reflect, t_real, t_sum
 from brolip.tensor import CTensor
 
@@ -164,6 +166,58 @@ def test_non_finite_entry_is_named(bad):
     assert info.value.iteration == 2
     with pytest.raises(DivergedError, match="non-finite"):
         solve_hpd(a[1], np.ones((4, 1)))
+
+
+def test_finite_matrix_whose_sum_overflows_is_factored():
+    # every entry, trace and pivot is finite; only the finite check's sum
+    # over the batch overflows (numpy's warning is silenced here), which
+    # must not read as a non-finite entry
+    a = np.stack([1e307 * np.eye(2)] * 20)
+    with np.errstate(over="ignore"):
+        l = cholesky(a)
+    np.testing.assert_allclose(l, np.sqrt(a), rtol=1e-15)  # a is diagonal
+
+
+def _spectrum_gram(v, p):
+    c, n, k, _ = v.shape
+    vf = (half_tap_dft(p, k) @ v.transpose(2, 3, 0, 1).reshape(k * k, c * n))
+    vf = vf.reshape(-1, c, n)
+    return np.conj(np.swapaxes(vf, -1, -2)) @ vf
+
+
+def _assert_taps_factor_the_spectrum_gram(v, p):
+    l = gram_factor_taps(v, p)
+    gram = _spectrum_gram(v, p)
+    assert l.shape == (half_plane(p).rep.size,) + gram.shape[1:]
+    scale = np.abs(gram).max()
+    assert np.abs(l @ np.conj(np.swapaxes(l, -1, -2)) - gram).max() <= 1e-13 * scale
+    return l, gram
+
+
+@pytest.mark.parametrize("k", [1, 3, 5])
+@pytest.mark.parametrize("s", [4, 5])
+@pytest.mark.parametrize("complex_kernel", [False, True])
+def test_gram_factor_taps_factors_the_spectrum_gram(k, s, complex_kernel):
+    rng = np.random.default_rng(60 + 2 * k + s)
+    v = rng.standard_normal((6, 3, k, k))
+    if complex_kernel:
+        v = v + 1j * rng.standard_normal((6, 3, k, k))
+    p = s + 2 * (k // 2)
+    l, gram = _assert_taps_factor_the_spectrum_gram(v, p)
+    np.testing.assert_allclose(l, cholesky(gram), rtol=0,
+                               atol=1e-13 * np.abs(l).max())
+
+
+@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@given(c=st.integers(1, 16), n_frac=st.floats(0.0, 1.0), k=st.sampled_from([1, 3, 5]),
+       s=st.integers(1, 6), complex_kernel=st.booleans(), seed=st.integers(0, 2 ** 16))
+def test_gram_factor_taps_property(c, n_frac, k, s, complex_kernel, seed):
+    n = max(1, int(n_frac * c))
+    rng = np.random.default_rng(seed)
+    v = rng.standard_normal((c, n, k, k))
+    if complex_kernel:
+        v = v + 1j * rng.standard_normal((c, n, k, k))
+    _assert_taps_factor_the_spectrum_gram(v, s + 2 * (k // 2))
 
 
 def test_solve_hpd_matches_dense_solve_above_block_size():
