@@ -1,8 +1,7 @@
 """Wall-time micro-benchmarks of the orthogonalization methods.
 
-Each case times either the parameter transform (unconstrained parameter to
-orthogonal operator, per spatial frequency for convolutions) or the input
-transform (applying a prepared operator to a batch). Timing uses the
+Each case times the parameter transform: unconstrained parameter to
+orthogonal operator, per spatial frequency for convolutions. Timing uses the
 monotonic performance counter with median-of-repetitions against noise;
 min/max are retained. "Memory" is reported as the op-layer allocation
 counters rather than OS-level usage, which is not meaningful at desk scale.
@@ -17,9 +16,9 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError
-from .fft import HalfPlane, fft2, half_plane, half_tap_dft, ifft2
+from .fft import half_plane
 from .ortho import (ConvGeometry, block_reflector, cayley_orthogonalize,
-                    cayley_transform, conv_prepare, lot_orthogonalize)
+                    cayley_transform, conv_prepare, lot_orthogonalize, tap_spectrum)
 from .tape import EagerOps
 from .tensor import alloc_stats, reset_alloc_stats
 
@@ -54,21 +53,6 @@ class BenchResult:
         return ",".join(cells)
 
 
-def _kernel_freq(v: np.ndarray, s: int) -> tuple[HalfPlane, np.ndarray]:
-    """Unitary DFT of a spatial kernel at the half-plane representatives.
-
-    Laid out frequency-major (m, c, n) over the padded grid, built from the
-    k x k taps as `ortho.conv_prepare` does, and returned with the grid's
-    tables. A real kernel satisfies V~(-f) = conj(V~(f)), so any transform
-    equivariant under conjugation only needs these rows; the tables'
-    `mirror` restores the full grid.
-    """
-    c, n, k, _ = v.shape
-    size = s + 2 * (k // 2)
-    taps = v.transpose(2, 3, 0, 1).reshape(k * k, c * n)
-    return half_plane(size), (half_tap_dft(size, k) @ taps).reshape(-1, c, n)
-
-
 def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
     """Per-frequency reflector construction; the conv 'parameter transform'.
 
@@ -83,14 +67,22 @@ def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
 
 
 def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
-    """Per-frequency Cayley transform of the skew-Hermitian part."""
-    tables, vf = _kernel_freq(v, s)
-    return tables.mirror(cayley_transform(vf))
+    """Per-frequency Cayley transform of the skew-Hermitian part.
+
+    Like every conv transform here it runs at the half-plane
+    representatives of the kernel's spectrum (`ortho.tap_spectrum`): a real
+    kernel satisfies V~(-f) = conj(V~(f)), so a transform equivariant under
+    conjugation only needs those rows, and `HalfPlane.mirror` restores the
+    full grid.
+    """
+    size = s + 2 * (v.shape[-1] // 2)
+    return half_plane(size).mirror(cayley_transform(tap_spectrum(EagerOps, v, size)))
 
 
 def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
     """Per-frequency Newton orthogonalization (batched over frequencies)."""
-    tables, vf = _kernel_freq(v, s)
+    size = s + 2 * (v.shape[-1] // 2)
+    vf = tap_spectrum(EagerOps, v, size)
     vh = np.conj(np.swapaxes(vf, -1, -2))
     gram = vh @ vf
     fro = np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
@@ -105,16 +97,7 @@ def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
         z = 0.5 * (t @ z)
         if not np.all(np.isfinite(z)):
             raise DivergedError(i, "non-finite Newton iterate during benchmark")
-    return tables.mirror(vn @ z)
-
-
-def conv_input_transform(wf: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Apply prepared per-frequency operators to a batch: the input transform."""
-    batch, c, size, _ = x.shape
-    xf = fft2(x).transpose(2, 3, 1, 0).reshape(size * size, c, batch)
-    yf = wf @ xf
-    yf = yf.reshape(size, size, wf.shape[1], batch).transpose(3, 2, 0, 1)
-    return ifft2(yf).real
+    return half_plane(size).mirror(vn @ z)
 
 
 def _timed(fn, reps: int) -> tuple[list[float], int, int]:
@@ -158,8 +141,7 @@ def bench_dense(method: str, m: int, n: int, reps: int, iters: int = 10,
 
 
 def bench_conv(method: str, c: int, s: int, k: int, n: int, reps: int,
-               iters: int = 10, batch: int = 4, seed: int = 0,
-               phase: str = "param_transform") -> BenchResult:
+               iters: int = 10, seed: int = 0) -> BenchResult:
     if reps < MIN_REPS:
         raise ContractError(f"need at least {MIN_REPS} repetitions")
     if c > MAX_CHANNELS or s > MAX_SPATIAL:
@@ -168,35 +150,18 @@ def bench_conv(method: str, c: int, s: int, k: int, n: int, reps: int,
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((c, n, k, k)) / np.sqrt(c)
     shape = {"c": c, "s": s, "k": k, "n": n}
-    if phase == "param_transform":
-        if method == "bro":
-            fn = lambda: bro_conv_param_transform(v, s)
-        elif method == "cayley":
-            vsq = rng.standard_normal((c, c, k, k)) / np.sqrt(c)
-            fn = lambda: cayley_conv_param_transform(vsq, s)
-        elif method == "lot":
-            vsq = rng.standard_normal((c, c, k, k)) / np.sqrt(c)
-            fn = lambda: lot_conv_param_transform(vsq, s, iters)
-        else:
-            raise ContractError(f"unknown method {method!r}")
-    elif phase == "input_transform":
-        if method == "bro":
-            wf = bro_conv_param_transform(v, s)
-        elif method == "cayley":
-            wf = cayley_conv_param_transform(
-                rng.standard_normal((c, c, k, k)) / np.sqrt(c), s)
-        elif method == "lot":
-            wf = lot_conv_param_transform(
-                rng.standard_normal((c, c, k, k)) / np.sqrt(c), s, iters)
-        else:
-            raise ContractError(f"unknown method {method!r}")
-        size = s + 2 * (k // 2)
-        x = rng.standard_normal((batch, c, size, size))
-        fn = lambda: conv_input_transform(wf, x)
+    if method == "bro":
+        fn = lambda: bro_conv_param_transform(v, s)
+    elif method == "cayley":
+        vsq = rng.standard_normal((c, c, k, k)) / np.sqrt(c)
+        fn = lambda: cayley_conv_param_transform(vsq, s)
+    elif method == "lot":
+        vsq = rng.standard_normal((c, c, k, k)) / np.sqrt(c)
+        fn = lambda: lot_conv_param_transform(vsq, s, iters)
     else:
-        raise ContractError(f"unknown phase {phase!r}")
+        raise ContractError(f"unknown method {method!r}")
     times, count, elements = _timed(fn, reps)
-    return _result(method, phase, shape, reps, times, count, elements)
+    return _result(method, "param_transform", shape, reps, times, count, elements)
 
 
 def rank_sweep(c: int, s: int, k: int, kappas, reps: int, seed: int = 0

@@ -104,7 +104,6 @@ def cmd_ortho_check(args) -> int:
 # ---------------------------------------------------------------------- bench
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    phases = [p.strip() for p in args.phases.split(",") if p.strip()]
     try:
         rows: list[benchmod.BenchResult] = []
         if args.m:
@@ -115,15 +114,13 @@ def cmd_bench(args) -> int:
                                                  iters=args.iters, seed=args.seed))
         else:
             for method in methods:
-                for phase in phases:
-                    if method == "bro" and phase == "param_transform":
-                        continue  # covered by the kappa sweep below
-                    n = max(1, int(round(args.kappa_list[0] * args.c)))
-                    rows.append(benchmod.bench_conv(
-                        method, args.c, args.s, args.k, n, args.reps,
-                        iters=args.iters, batch=args.batch, seed=args.seed,
-                        phase=phase))
-            if "bro" in methods and "param_transform" in phases:
+                if method == "bro":
+                    continue  # covered by the kappa sweep below
+                n = max(1, int(round(args.kappa_list[0] * args.c)))
+                rows.append(benchmod.bench_conv(
+                    method, args.c, args.s, args.k, n, args.reps,
+                    iters=args.iters, seed=args.seed))
+            if "bro" in methods:
                 sweep = benchmod.rank_sweep(args.c, args.s, args.k,
                                             args.kappa_list, args.reps,
                                             seed=args.seed)
@@ -284,7 +281,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     bc = sub.add_parser("bench", help="wall-time micro-benchmarks")
     bc.add_argument("--methods", default="bro")
-    bc.add_argument("--phases", default="param_transform")
     bc.add_argument("--m", type=int, default=0, help="dense mode when nonzero")
     bc.add_argument("--c", type=int, default=64)
     bc.add_argument("--s", type=int, default=16)
@@ -292,7 +288,6 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--kappa", default="0.125,0.25,0.5,0.75")
     bc.add_argument("--reps", type=int, default=10)
     bc.add_argument("--iters", type=int, default=10)
-    bc.add_argument("--batch", type=int, default=4)
     bc.add_argument("--seed", type=int, default=0)
     bc.add_argument("--out", default="")
     bc.set_defaults(func=cmd_bench)

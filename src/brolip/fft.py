@@ -9,11 +9,13 @@ the frequencies. `tap_dft` and `half_tap_dft` are the DFT as a matrix on
 a kernel's k x k taps, `half_tap_pairs` the products of its entries that
 turn the taps' pairwise products into each frequency's Gram, and
 `real_half` the real GEMM tables that take a real p x p signal to its
-half-plane spectrum and back.
+half-plane spectrum and back. Each table is built once per grid
+(`functools.cache`) and made read-only, since every caller shares it.
 """
 
 from __future__ import annotations
 
+import functools
 from typing import NamedTuple
 
 import numpy as np
@@ -21,9 +23,15 @@ import numpy as np
 from .errors import ShapeError
 from .tensor import CTensor, Tensor, as_complex_array, as_real_array, record_alloc
 
-_tap_dft_cache: dict[tuple[int, int], np.ndarray] = {}
+
+def _read_only(tables):
+    """`tables`, an array or a tuple of arrays, with every array made read-only."""
+    for arr in (tables,) if isinstance(tables, np.ndarray) else tables:
+        arr.flags.writeable = False
+    return tables
 
 
+@functools.cache
 def tap_dft(p: int, k: int) -> np.ndarray:
     """Unitary p x p 2D DFT restricted to a top-left k x k support.
 
@@ -32,15 +40,9 @@ def tap_dft(p: int, k: int) -> np.ndarray:
     `tap_dft(p, k) @ x.reshape(k*k, -1)` is the `fft2` of x zero-padded to
     p x p over its leading two axes, laid out frequency-major (p^2, ...).
     """
-    key = (p, k)
-    mat = _tap_dft_cache.get(key)
-    if mat is None:
-        j = np.arange(p)
-        cols = np.exp((-2j * np.pi / p) * (np.outer(j, j[:k]) % p))
-        mat = np.kron(cols, cols) / p
-        mat.flags.writeable = False
-        _tap_dft_cache[key] = mat
-    return mat
+    j = np.arange(p)
+    cols = np.exp((-2j * np.pi / p) * (np.outer(j, j[:k]) % p))
+    return _read_only(np.kron(cols, cols) / p)
 
 
 class HalfPlane(NamedTuple):
@@ -66,44 +68,26 @@ class HalfPlane(NamedTuple):
         return out
 
 
-_half_plane_cache: dict[int, HalfPlane] = {}
-
-
+@functools.cache
 def half_plane(p: int) -> HalfPlane:
     """The cached, read-only `HalfPlane` tables of a p x p grid."""
-    tables = _half_plane_cache.get(p)
-    if tables is None:
-        i, j = np.divmod(np.arange(p * p), p)
-        partner = ((-i) % p) * p + ((-j) % p)
-        is_rep = np.arange(p * p) <= partner
-        position = np.cumsum(is_rep) - 1
-        mirrored = np.flatnonzero(~is_rep)
-        source = position.copy()
-        source[mirrored] = position[partner[mirrored]]
-        tables = HalfPlane(np.flatnonzero(is_rep), source, mirrored)
-        for arr in tables:
-            arr.flags.writeable = False
-        _half_plane_cache[p] = tables
-    return tables
+    i, j = np.divmod(np.arange(p * p), p)
+    partner = ((-i) % p) * p + ((-j) % p)
+    is_rep = np.arange(p * p) <= partner
+    position = np.cumsum(is_rep) - 1
+    mirrored = np.flatnonzero(~is_rep)
+    source = position.copy()
+    source[mirrored] = position[partner[mirrored]]
+    return _read_only(HalfPlane(np.flatnonzero(is_rep), source, mirrored))
 
 
-_half_tap_dft_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def half_tap_dft(p: int, k: int) -> np.ndarray:
     """The representative rows `tap_dft(p, k)[half_plane(p).rep]`, cached read-only."""
-    key = (p, k)
-    mat = _half_tap_dft_cache.get(key)
-    if mat is None:
-        mat = tap_dft(p, k)[half_plane(p).rep]
-        mat.flags.writeable = False
-        _half_tap_dft_cache[key] = mat
-    return mat
+    return _read_only(tap_dft(p, k)[half_plane(p).rep])
 
 
-_half_tap_pairs_cache: dict[tuple[int, int], np.ndarray] = {}
-
-
+@functools.cache
 def half_tap_pairs(p: int, k: int) -> np.ndarray:
     """Tap-pair weights of each half-plane frequency, (m, k^4), cached read-only.
 
@@ -112,14 +96,8 @@ def half_tap_pairs(p: int, k: int) -> np.ndarray:
     sum_t F[f, t] V_t, so its Gram is this row times the tap products
     V_t^H V_t' stacked in the same (t, t') order.
     """
-    key = (p, k)
-    mat = _half_tap_pairs_cache.get(key)
-    if mat is None:
-        dft = half_tap_dft(p, k)
-        mat = (np.conj(dft)[:, :, None] * dft[:, None, :]).reshape(dft.shape[0], -1)
-        mat.flags.writeable = False
-        _half_tap_pairs_cache[key] = mat
-    return mat
+    dft = half_tap_dft(p, k)
+    return _read_only((np.conj(dft)[:, :, None] * dft[:, None, :]).reshape(dft.shape[0], -1))
 
 
 class RealHalf(NamedTuple):
@@ -144,30 +122,22 @@ class RealHalf(NamedTuple):
     residue: np.ndarray
 
 
-_real_half_cache: dict[int, RealHalf] = {}
-
-
+@functools.cache
 def real_half(p: int) -> RealHalf:
     """The cached, read-only `RealHalf` tables of a p x p grid."""
-    tables = _real_half_cache.get(p)
-    if tables is None:
-        dft = half_tap_dft(p, p)
-        m = dft.shape[0]
-        forward = np.empty((p * p, 2 * m))
-        forward[:, 0::2] = dft.real.T
-        forward[:, 1::2] = dft.imag.T
-        grid = half_plane(p)
-        weight = np.ones(m)
-        weight[grid.source[grid.mirrored]] = 2.0
-        self_conjugate = np.flatnonzero(weight == 1.0)
-        inverse = np.ascontiguousarray(forward.T * np.repeat(weight, 2)[:, None])
-        pixels = [0] if p % 2 else [0, 1, p, p + 1]
-        residue = np.ascontiguousarray(dft[np.ix_(self_conjugate, pixels)].real.T)
-        tables = RealHalf(forward, inverse, self_conjugate, residue)
-        for arr in tables:
-            arr.flags.writeable = False
-        _real_half_cache[p] = tables
-    return tables
+    dft = half_tap_dft(p, p)
+    m = dft.shape[0]
+    forward = np.empty((p * p, 2 * m))
+    forward[:, 0::2] = dft.real.T
+    forward[:, 1::2] = dft.imag.T
+    grid = half_plane(p)
+    weight = np.ones(m)
+    weight[grid.source[grid.mirrored]] = 2.0
+    self_conjugate = np.flatnonzero(weight == 1.0)
+    inverse = np.ascontiguousarray(forward.T * np.repeat(weight, 2)[:, None])
+    pixels = [0] if p % 2 else [0, 1, p, p + 1]
+    residue = np.ascontiguousarray(dft[np.ix_(self_conjugate, pixels)].real.T)
+    return _read_only(RealHalf(forward, inverse, self_conjugate, residue))
 
 
 def imag_residue(rows: np.ndarray, p: int) -> float:

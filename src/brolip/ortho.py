@@ -180,27 +180,34 @@ class ConvOperator(NamedTuple):
     kernel_imag: float
 
 
+def tap_spectrum(ops, v, size: int):
+    """Spectrum of a kernel `v` (c, n, k, k) at the half-plane rows of a size x size grid.
+
+    One matmul of the cached half-plane tap DFT `half_tap_dft(size, k)`
+    (m, k^2) with the kernel's taps laid out (k^2, c n), reshaped to
+    (m, c, n): the representative rows of the unitary `fft2` of the kernel
+    zero-padded to size x size, already frequency-major, without the pad,
+    the full transform or a layout copy. Backend-generic.
+    """
+    c, n, k, _ = ops.value(v).shape
+    taps = ops.reshape(ops.transpose(v, (2, 3, 0, 1)), (k * k, c * n))
+    dft = half_tap_dft(size, k)
+    return ops.reshape(ops.matmul(ops.constant(dft), taps), (dft.shape[0], c, n))
+
+
 def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
     """The per-frequency operator of the kernel `v_eff` (c, n, k, k).
 
-    The spectrum is one matmul of the cached half-plane tap DFT
-    `half_tap_dft(p, k)` (m, k^2) with the kernel's taps laid out (k^2, c n):
-    it equals the representative rows of the unitary `fft2` of the kernel
-    zero-padded to p x p, already frequency-major, without the pad, the
-    p x p transform or a layout copy. The Grams vf^H vf are not formed from
-    the spectrum: `linalg.gram_factor_taps` sums the taps' pairwise
-    products V_t^H V_t' with the cached weights `half_tap_pairs(p, k)` and
-    factors the result. It raises `DivergedError` for a non-finite kernel
-    and `SingularParameter` when a frequency's spectrum loses column rank.
+    The spectrum is `tap_spectrum` over the padded grid. The Grams
+    vf^H vf are not formed from the spectrum: `linalg.gram_factor_taps`
+    sums the taps' pairwise products V_t^H V_t' with the cached weights
+    `half_tap_pairs(p, k)` and factors the result. It raises
+    `DivergedError` for a non-finite kernel and `SingularParameter` when a
+    frequency's spectrum loses column rank.
     """
     size = geom.padded_size
-    c = geom.channels_in
-    k = geom.kernel
     value = ops.value(v_eff)
-    n = value.shape[1]
-    taps = ops.reshape(ops.transpose(v_eff, (2, 3, 0, 1)), (k * k, c * n))
-    dft = half_tap_dft(size, k)
-    vf = ops.reshape(ops.matmul(ops.constant(dft), taps), (dft.shape[0], c, n))
+    vf = tap_spectrum(ops, v_eff, size)
     return ConvOperator(vf, linalg.gram_factor_taps(value, size), _imag_max(value))
 
 

@@ -13,11 +13,17 @@ A real operand of a complex result (matmul, reflect, rdft_half) gets the
 real part. The block reflector is one node, `t_reflect`, with a closed-form
 adjoint that reuses the forward's Cholesky factor, so no VJP factors.
 
+Layer math is written once against two backends with the same primitive
+names: `EagerOps` binds each name straight to its ndarray form, `TapeOps`
+to its `t_*` recorder, so neither adds a call between the math and the
+primitive.
+
 A tape instance is single-threaded; independent tapes may run in parallel.
 """
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from typing import Callable
 
@@ -214,9 +220,8 @@ def _pad_last2(a: np.ndarray, before: int, after: int) -> np.ndarray:
 
 
 def _crop_last2(a: np.ndarray, border: int) -> np.ndarray:
-    if border == 0:
-        return a
-    return a[..., border:-border, border:-border]
+    rows, cols = a.shape[-2:]
+    return np.ascontiguousarray(a[..., border:rows - border, border:cols - border])
 
 
 def t_pad_last2(a: Var, before: int, after: int) -> Var:
@@ -229,8 +234,7 @@ def t_pad_last2(a: Var, before: int, after: int) -> Var:
 
 
 def t_crop_last2(a: Var, border: int) -> Var:
-    return a.tape._append("crop", np.ascontiguousarray(_crop_last2(a.value, border)),
-                          (a.idx,),
+    return a.tape._append("crop", _crop_last2(a.value, border), (a.idx,),
                           lambda g: (_pad_last2(g, border, border),))
 
 
@@ -383,6 +387,10 @@ def t_row_normalize(w: Var) -> Var:
     return w.tape._append("row_normalize", out, (w.idx,), vjp)
 
 
+def _slice2d(a: np.ndarray, rows: int, cols: int) -> np.ndarray:
+    return np.ascontiguousarray(a[:rows, :cols])
+
+
 def t_slice2d(a: Var, rows: int, cols: int) -> Var:
     full = a.value.shape
 
@@ -391,8 +399,7 @@ def t_slice2d(a: Var, rows: int, cols: int) -> Var:
         out[:rows, :cols] = g
         return (out,)
 
-    return a.tape._append("slice2d", np.ascontiguousarray(a.value[:rows, :cols]),
-                          (a.idx,), vjp)
+    return a.tape._append("slice2d", _slice2d(a.value, rows, cols), (a.idx,), vjp)
 
 
 def t_sum(a: Var) -> Var:
@@ -449,134 +456,55 @@ def grad_check(f: Callable[[Var], Var], x, h: float = 1e-5) -> float:
 
 # ---------------------------------------------------------------------------
 # Twin op backends: the layer/convolution math is written once against this
-# interface and runs either eagerly on ndarrays or recorded on a tape.
+# interface and runs either eagerly on ndarrays or recorded on a tape; each
+# name is the primitive itself, with no forwarding call in between.
+
+def _first(forward):
+    """The eager form of a forward that also returns what its VJP keeps."""
+    def first(*args, **kwargs):
+        return forward(*args, **kwargs)[0]
+    return staticmethod(first)
+
 
 class EagerOps:
     """Executes the primitive set directly on ndarrays."""
 
-    @staticmethod
-    def constant(a):
-        return np.asarray(a)
-
-    @staticmethod
-    def add(a, b):
-        return a + b
-
-    @staticmethod
-    def scale(a, c):
-        return a * c
-
-    @staticmethod
-    def scale_by(a, s):
-        return a * float(s)
-
-    @staticmethod
-    def matmul(a, b):
-        return a @ b
-
-    @staticmethod
-    def transpose(a, axes):
-        return np.transpose(a, axes)
-
-    @staticmethod
-    def reshape(a, shape):
-        return np.reshape(a, shape)
-
-    @staticmethod
-    def pad_last2(a, before, after):
-        return _pad_last2(a, before, after)
-
-    @staticmethod
-    def crop_last2(a, border):
-        return np.ascontiguousarray(_crop_last2(a, border))
-
-    @staticmethod
-    def rdft_half(a):
-        return _rdft_half(a)
-
-    @staticmethod
-    def irdft_half(a, p):
-        return _irdft_half(a, p)
-
-    @staticmethod
-    def reflect(v, factor, x):
-        return linalg.reflect(v, factor, x)[0]
-
-    @staticmethod
-    def maxmin(a, axis):
-        return _maxmin_fwd(a, axis)[0]
-
-    @staticmethod
-    def l2_pool(a, p):
-        return _l2_pool_fwd(a, p)[0]
-
-    @staticmethod
-    def row_normalize(w):
-        return _row_normalize_fwd(w)[0]
-
-    @staticmethod
-    def slice2d(a, rows, cols):
-        return np.ascontiguousarray(a[:rows, :cols])
-
-    @staticmethod
-    def value(a):
-        return a
+    constant = value = staticmethod(np.asarray)
+    add = staticmethod(operator.add)
+    scale = scale_by = staticmethod(operator.mul)
+    matmul = staticmethod(operator.matmul)
+    transpose = staticmethod(np.transpose)
+    reshape = staticmethod(np.reshape)
+    pad_last2 = staticmethod(_pad_last2)
+    crop_last2 = staticmethod(_crop_last2)
+    rdft_half = staticmethod(_rdft_half)
+    irdft_half = staticmethod(_irdft_half)
+    reflect = _first(linalg.reflect)
+    maxmin = _first(_maxmin_fwd)
+    l2_pool = _first(_l2_pool_fwd)
+    row_normalize = _first(_row_normalize_fwd)
+    slice2d = staticmethod(_slice2d)
 
 
 class TapeOps:
     """Records the primitive set on a tape for later backpropagation."""
 
+    value = staticmethod(operator.attrgetter("value"))
+    add = staticmethod(t_add)
+    scale = staticmethod(t_scale)
+    scale_by = staticmethod(t_scale_by)
+    matmul = staticmethod(t_matmul)
+    transpose = staticmethod(t_transpose)
+    reshape = staticmethod(t_reshape)
+    pad_last2 = staticmethod(t_pad_last2)
+    crop_last2 = staticmethod(t_crop_last2)
+    rdft_half = staticmethod(t_rdft_half)
+    irdft_half = staticmethod(t_irdft_half)
+    reflect = staticmethod(t_reflect)
+    maxmin = staticmethod(t_maxmin)
+    l2_pool = staticmethod(t_l2_pool)
+    row_normalize = staticmethod(t_row_normalize)
+    slice2d = staticmethod(t_slice2d)
+
     def __init__(self, tape: Tape):
-        self.tape = tape
-
-    def constant(self, a):
-        return self.tape.constant(a)
-
-    def add(self, a, b):
-        return t_add(a, b)
-
-    def scale(self, a, c):
-        return t_scale(a, c)
-
-    def scale_by(self, a, s):
-        return t_scale_by(a, s)
-
-    def matmul(self, a, b):
-        return t_matmul(a, b)
-
-    def transpose(self, a, axes):
-        return t_transpose(a, axes)
-
-    def reshape(self, a, shape):
-        return t_reshape(a, shape)
-
-    def pad_last2(self, a, before, after):
-        return t_pad_last2(a, before, after)
-
-    def crop_last2(self, a, border):
-        return t_crop_last2(a, border)
-
-    def rdft_half(self, a):
-        return t_rdft_half(a)
-
-    def irdft_half(self, a, p):
-        return t_irdft_half(a, p)
-
-    def reflect(self, v, factor, x):
-        return t_reflect(v, factor, x)
-
-    def maxmin(self, a, axis):
-        return t_maxmin(a, axis)
-
-    def l2_pool(self, a, p):
-        return t_l2_pool(a, p)
-
-    def row_normalize(self, w):
-        return t_row_normalize(w)
-
-    def slice2d(self, a, rows, cols):
-        return t_slice2d(a, rows, cols)
-
-    @staticmethod
-    def value(a):
-        return a.value
+        self.constant = tape.constant

@@ -5,13 +5,12 @@ import pytest
 
 from brolip.bench import (CSV_HEADER, MIN_REPS, BenchResult, bench_conv,
                           bench_dense, bro_conv_param_transform,
-                          cayley_conv_param_transform, conv_input_transform,
-                          lot_conv_param_transform, medians_non_decreasing,
-                          rank_sweep)
+                          cayley_conv_param_transform, lot_conv_param_transform,
+                          medians_non_decreasing, rank_sweep)
 from brolip.errors import ContractError
 from brolip.fft import fft2, half_plane
 from brolip import linalg
-from brolip.ortho import BroConvKernel, ConvGeometry, bro_conv_forward, conv_prepare
+from brolip.ortho import ConvGeometry, conv_prepare
 from brolip.tape import EagerOps
 
 
@@ -57,19 +56,6 @@ def test_param_transforms_are_unitary_per_frequency():
             assert err < 1e-6
 
 
-def test_input_transform_matches_library_convolution():
-    rng = np.random.default_rng(2)
-    c, s, k, n = 3, 6, 3, 2
-    v = rng.standard_normal((c, n, k, k))
-    kern = BroConvKernel(v)
-    x = rng.standard_normal((4, c, s, s))
-    want = bro_conv_forward(kern, x, ConvGeometry(c, c, s, k, keep_padding=True)).array
-    wf = bro_conv_param_transform(v, s)
-    xp = np.pad(x, ((0, 0), (0, 0), (1, 1), (1, 1)))
-    got = conv_input_transform(wf, xp)
-    np.testing.assert_allclose(got, want, atol=1e-11)
-
-
 def test_min_reps_contract():
     with pytest.raises(ContractError):
         bench_dense("bro", 16, 4, reps=MIN_REPS - 1)
@@ -109,13 +95,6 @@ def test_small_rank_sweep_monotone():
     assert [r.shape["n"] for r in sweep] == [8, 24]
     assert medians_non_decreasing(sweep)
     assert all(r.alloc_elements > 0 for r in sweep)
-
-
-def test_input_transform_phase_runs():
-    res = bench_conv("bro", 8, 6, 3, 4, reps=10, batch=2,
-                     phase="input_transform")
-    assert res.phase == "input_transform"
-    assert res.median_s > 0
 
 
 @pytest.mark.parametrize("m", [128, 256])

@@ -59,7 +59,7 @@ def test_bench_rejects_oversize(capsys):
 
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
-    rc = main(["bench", "--methods", "bro", "--phases", "param_transform",
+    rc = main(["bench", "--methods", "bro",
                "--c", "16", "--s", "8", "--k", "1", "--kappa", "0.125,0.75",
                "--reps", "10", "--out", str(out)])
     assert rc == 0
@@ -142,16 +142,6 @@ def test_certify_missing_checkpoint(tmp_path, capsys):
     rc = main(["certify", "--ckpt", str(tmp_path / "absent.ckpt"), "--out",
                str(tmp_path / "r.txt")])
     assert rc == 2
-
-
-def test_bench_input_transform_phase(tmp_path):
-    out = tmp_path / "input.csv"
-    rc = main(["bench", "--methods", "bro", "--phases", "input_transform",
-               "--c", "8", "--s", "6", "--k", "3", "--kappa", "0.5",
-               "--batch", "2", "--reps", "10", "--out", str(out)])
-    assert rc == 0
-    lines = out.read_text().strip().splitlines()
-    assert lines[1].split(",")[1] == "input_transform"
 
 
 def test_usage_error_exit_code():

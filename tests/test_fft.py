@@ -150,13 +150,23 @@ def test_half_plane_mirror_rebuilds_a_real_spectrum(p):
     assert not any(a.flags.writeable for a in tables)
 
 
+@pytest.mark.parametrize("build, args", [
+    (tap_dft, (5, 3)), (tap_dft, (1, 1)), (half_plane, (6,)), (half_plane, (7,)),
+    (half_tap_dft, (6, 3)), (half_tap_pairs, (1, 1)), (half_tap_pairs, (7, 5)),
+    (real_half, (1,)), (real_half, (16,))])
+def test_grid_tables_are_built_once_and_read_only(build, args):
+    tables = build(*args)
+    assert build(*args) is tables
+    arrays = (tables,) if isinstance(tables, np.ndarray) else tuple(tables)
+    assert arrays and all(isinstance(a, np.ndarray) and not a.flags.writeable
+                          for a in arrays)
+
+
 @pytest.mark.parametrize("p, k", [(1, 1), (6, 1), (5, 3), (6, 3), (7, 5)])
 def test_half_tap_pairs_are_the_cached_products_of_tap_dft_entries(p, k):
     dft = half_tap_dft(p, k)
     pairs = half_tap_pairs(p, k)
     assert pairs.shape == (dft.shape[0], k ** 4)
-    assert half_tap_pairs(p, k) is pairs
-    assert not pairs.flags.writeable
     for t in range(k * k):
         for u in range(k * k):
             np.testing.assert_array_equal(pairs[:, t * k * k + u],

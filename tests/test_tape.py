@@ -7,6 +7,7 @@ import pytest
 
 from brolip import linalg
 from brolip.errors import ContractError
+from brolip.fft import real_half
 from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_conj,
                          t_custom_scalar, t_l2_pool, t_matmul, t_maxmin, t_mul,
                          t_real, t_reflect, t_row_normalize, t_scale_by,
@@ -216,3 +217,72 @@ def test_vjp_on_a_branch_without_grad_leaves_is_never_called():
     grads = tape.backward(out)
     assert set(grads) == {param.idx}
     np.testing.assert_array_equal(grads[param.idx], np.full(3, 3.0))
+
+
+class _Var:
+    """Marks a backend-value argument of a parity case; the rest is plain data."""
+
+    def __init__(self, array):
+        self.array = array
+
+
+def _parity_cases():
+    rng = np.random.default_rng(11)
+    real = lambda *shape: rng.standard_normal(shape)
+    cplx = lambda *shape: real(*shape) + 1j * real(*shape)
+    v, vc = real(5, 7, 3), cplx(5, 7, 3)
+    image = real(2, 3, 6, 6)
+    p = 6
+    m = real_half(p).forward.shape[1] // 2
+    return {
+        "constant": [(real(3, 4),), (real(4, 3).T,)],  # plain data in, a value out
+        "add": [(_Var(real(3, 4)), _Var(real(3, 4)))],
+        "scale": [(_Var(real(3, 4)), 0.3)],
+        "scale_by": [(_Var(real(3, 4)), _Var(np.asarray(1.7)))],
+        "matmul": [(_Var(real(2, 3, 4)), _Var(real(2, 4, 5))),
+                   (_Var(cplx(2, 3, 4)), _Var(cplx(2, 4, 5))),
+                   (_Var(real(2, 3, 4)), _Var(cplx(2, 4, 5)))],
+        "transpose": [(_Var(image), (2, 3, 0, 1))],
+        "reshape": [(_Var(image), (6, 36))],
+        "pad_last2": [(_Var(image), 1, 1), (_Var(image), 0, 2)],
+        # a transposed view has no contiguous layout to return by accident
+        "crop_last2": [(_Var(a), border) for a in (image, image.transpose(0, 1, 3, 2))
+                       for border in (0, 1, 2)],
+        "rdft_half": [(_Var(image),)],
+        "irdft_half": [(_Var(cplx(m, 3, 2)), p)],
+        "reflect": [(_Var(v), linalg.gram_factor(v), _Var(real(5, 7, 4))),
+                    (_Var(vc), linalg.gram_factor(vc), _Var(cplx(5, 7, 4)))],
+        "maxmin": [(_Var(real(4, 6)), 0), (_Var(real(4, 6)), 1)],
+        "l2_pool": [(_Var(image), 2), (_Var(image), 3)],
+        "row_normalize": [(_Var(real(3, 5)),)],
+        "slice2d": [(_Var(real(4, 6)), 2, 3)],
+    }
+
+
+def _public_names(obj):
+    return {name for name in dir(obj) if not name.startswith("_")}
+
+
+def test_backends_expose_the_same_primitives():
+    names = _public_names(EagerOps)
+    assert names == _public_names(TapeOps(Tape()))
+    assert names == set(_parity_cases()) | {"value"}
+
+
+@pytest.mark.parametrize("name", sorted(_parity_cases()))
+def test_eager_and_taped_primitives_agree_bit_for_bit(name):
+    for args in _parity_cases()[name]:
+        tape = Tape()
+        eager = getattr(EagerOps, name)(
+            *(a.array if isinstance(a, _Var) else a for a in args))
+        taped = getattr(TapeOps(tape), name)(
+            *(tape.constant(a.array) if isinstance(a, _Var) else a for a in args)).value
+        assert eager.dtype == taped.dtype and np.array_equal(eager, taped)
+        assert eager.flags["C_CONTIGUOUS"] == taped.flags["C_CONTIGUOUS"]
+
+
+def test_value_reads_each_backends_array():
+    a = np.arange(6.0).reshape(2, 3)
+    tape = Tape()
+    assert EagerOps.value(a) is a
+    assert TapeOps(tape).value(tape.constant(a)) is a
