@@ -12,6 +12,11 @@ entries are rejected before factoring: one sum of the entries, with the
 element-wise search that names the entry run only when that sum is not
 finite.
 
+The block reflector `reflect` applies I - 2 V G^{-1} V^H from G's factor
+L in whichever association needs fewer triangular solves for x's shape:
+through B = L^{-1} V^H when x has more than half as many columns as V has
+rows (certify, PGD, a reflector matrix), else through G^{-1} V^H x.
+
 A conv's per-frequency Grams come from its k x k taps, not from its
 spectrum (`gram_factor_taps`): one c-deep product of the taps with
 themselves, real for a real kernel, then one GEMM with the cached tap-pair
@@ -194,20 +199,33 @@ def gram_factor_taps(v: np.ndarray, p: int) -> np.ndarray:
 
 
 def reflect(v: np.ndarray, factor: np.ndarray, x: np.ndarray
-            ) -> tuple[np.ndarray, np.ndarray]:
-    """Block reflector y = x - 2 V S with S = G^{-1} V^H x, G = V^H V.
+            ) -> tuple[np.ndarray, tuple[np.ndarray | None, np.ndarray]]:
+    """Block reflector y = x - 2 V G^{-1} V^H x, G = V^H V = L L^H.
 
-    `factor` is G's Cholesky factor (`gram_factor(v)`), so no Gram is formed
-    or factored here. Batched over leading axes; `x` broadcasts against
-    them (an identity `x` yields the reflector matrix itself). Returns y and
-    S, which the taped adjoint reuses.
+    `factor` is L (`gram_factor(v)`), so no Gram is formed or factored
+    here. Batched over leading axes; `x` broadcasts against them (an
+    identity `x` yields the reflector matrix itself). V is c x n and x has
+    b columns; the product is associated by shape, whichever needs fewer
+    triangular solves:
+    - c < 2b: B = L^{-1} V^H, one solve over c right-hand sides, then
+      y = x - 2 B^H (B x). Returns y and (B, B x).
+    - otherwise: S = L^{-H} L^{-1} V^H x, two solves over b right-hand
+      sides, then y = x - 2 V S. Returns y and (None, S).
+    The taped adjoint reuses the second output.
     """
+    if v.shape[-2] < 2 * x.shape[-1]:
+        b = solve_lower(factor, _conj_t(v))
+        u = b @ x
+        y = _conj_t(b) @ u
+        y *= -2.0
+        y += x
+        return y, (b, u)
     # V^H x, conjugating the narrower operand: (x^H V)^H copies x and the
     # product instead of V when x has fewer columns than V
     s = _conj_t(_conj_t(x) @ v) if x.shape[-1] < v.shape[-1] else _conj_t(v) @ x
     s = solve_lower(factor, s)  # rebinding frees V^H x before the second solve
     s = solve_upper_conj(factor, s)
-    return x - 2.0 * (v @ s), s
+    return x - 2.0 * (v @ s), (None, s)
 
 
 def hermitian_deviation(a: np.ndarray) -> float:

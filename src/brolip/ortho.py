@@ -4,7 +4,8 @@ The central construction is the block reflector W = I - 2 V (V^T V)^{-1} V^T
 built from an unconstrained low-rank parameter V: W is symmetric, orthogonal,
 and involutory, with n eigenvalues -1 and m-n eigenvalues +1. One primitive
 applies it, `linalg.reflect` (taped: `tape.t_reflect`), from the Cholesky
-factor of V^H V; the dense W is that primitive applied to the identity. The
+factor L of V^H V; the dense W is that primitive applied to the identity,
+which goes through B = L^{-1} V^H as I - 2 B^H B. The
 convolutional variant applies it per spatial frequency after a unitary 2D
 DFT, which yields a real, orthogonal multi-channel circular convolution.
 The kernel's spectrum is the DFT of its k x k taps, one matmul with the tap

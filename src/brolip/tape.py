@@ -11,7 +11,8 @@ under which the adjoint of a complex-linear map is its conjugate transpose;
 with that convention the same matmul and reflector rules cover both dtypes.
 A real operand of a complex result (matmul, reflect, rdft_half) gets the
 real part. The block reflector is one node, `t_reflect`, with a closed-form
-adjoint that reuses the forward's Cholesky factor, so no VJP factors.
+adjoint that reuses the forward's Cholesky factor, so no VJP factors, and
+the B = L^{-1} V^H the forward formed, if it did.
 
 Layer math is written once against two backends with the same primitive
 names: `EagerOps` binds each name straight to its ndarray form, `TapeOps`
@@ -201,16 +202,6 @@ def t_reshape(a: Var, shape: tuple[int, ...]) -> Var:
                           lambda g: (np.reshape(g, old),))
 
 
-def t_conj(a: Var) -> Var:
-    return a.tape._append("conj", np.conj(a.value), (a.idx,),
-                          lambda g: (np.conj(g),))
-
-
-def t_real(a: Var) -> Var:
-    return a.tape._append("real", np.ascontiguousarray(a.value.real), (a.idx,),
-                          lambda g: (g.astype(np.complex128),))
-
-
 def _pad_last2(a: np.ndarray, before: int, after: int) -> np.ndarray:
     # zeros plus a slice assignment: the bits of np.pad at a tenth of its cost
     rows, cols = a.shape[-2:]
@@ -295,24 +286,38 @@ def t_irdft_half(a: Var, p: int) -> Var:
 def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
     """Block reflector y = x - 2 V S, S = G^{-1} V^H x, as one node.
 
-    `factor`, the Cholesky factor of G = V^H V (`linalg.gram_factor` of
-    `v.value`, or for a conv spectrum `linalg.gram_factor_taps` of its
-    kernel), is plain data, not a node; the forward is `linalg.reflect`
-    and both adjoints reuse the factor. With T = G^{-1} V^H ybar and
-    P = V G^{-1} V^H: xbar = ybar - 2 V T, the reflector applied to ybar,
-    and vbar = -2 (I - P)(ybar S^H + x T^H) = -((ybar + xbar) S^H +
-    (x + y) T^H), since W = I - 2P.
+    `factor`, the Cholesky factor L of G = V^H V = L L^H
+    (`linalg.gram_factor` of `v.value`, or for a conv spectrum
+    `linalg.gram_factor_taps` of its kernel), is plain data, not a node;
+    the forward is `linalg.reflect` and both adjoints reuse what it kept.
+    With T = G^{-1} V^H ybar and P = V G^{-1} V^H: xbar = ybar - 2 V T, the
+    reflector applied to ybar, and vbar = -2 (I - P)(ybar S^H + x T^H) =
+    -((ybar + xbar) S^H + (x + y) T^H), since W = I - 2P. When the forward
+    went through B = L^{-1} V^H and u = B x, then S = L^{-H} u and
+    T = L^{-H} B ybar: xbar = ybar - 2 B^H (B ybar) takes no solve, and
+    vbar = -((ybar + xbar) u^H + (x + y)(B ybar)^H) L^{-1} one right-side
+    solve, only when V requires grad.
     """
     vv, xv = v.value, x.value
-    y, s = linalg.reflect(vv, factor, xv)
+    y, (b, kept) = linalg.reflect(vv, factor, xv)
     v_grad, x_grad = v.requires_grad, x.requires_grad
     v_real, x_real = vv.dtype != np.complex128, xv.dtype != np.complex128
 
     def vjp(g):
-        gx, t = linalg.reflect(vv, factor, g)
-        gv = -((g + gx) @ np.conj(_swap(s)) + (xv + y) @ np.conj(_swap(t))) if v_grad else None
-        return (_cotangent(gv, v_real) if v_grad else None,
-                _cotangent(gx, x_real) if x_grad else None)
+        # `kept` and `t` are S and T, or u and B ybar
+        if b is None:
+            gx, (_, t) = linalg.reflect(vv, factor, g)
+        else:
+            t = b @ g
+            gx = np.conj(_swap(b)) @ t
+            gx *= -2.0
+            gx += g
+        if not v_grad:
+            return None, _cotangent(gx, x_real) if x_grad else None
+        gv = -((g + gx) @ np.conj(_swap(kept)) + (xv + y) @ np.conj(_swap(t)))
+        if b is not None:  # gv L^{-1} = (L^{-H} gv^H)^H
+            gv = np.conj(_swap(linalg.solve_upper_conj(factor, np.conj(_swap(gv)))))
+        return _cotangent(gv, v_real), _cotangent(gx, x_real) if x_grad else None
 
     return v.tape._append("reflect", y, (v.idx, x.idx), vjp)
 

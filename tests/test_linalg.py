@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import brolip as bl
 from brolip import linalg
@@ -10,8 +10,10 @@ from brolip.errors import ContractError, DivergedError, ShapeError, SingularPara
 from brolip.fft import half_plane, half_tap_dft
 from brolip.linalg import (PIVOT_REL_TOL, cholesky, gram_factor_taps, hermitian_solve,
                            reflect, solve_hpd, solve_lower, solve_upper_conj)
-from brolip.tape import Tape, t_reflect, t_real, t_sum
+from brolip.ortho import ConvGeometry, conv_prepare
+from brolip.tape import EagerOps, Tape, t_reflect, t_sum
 from brolip.tensor import CTensor
+from tape_helpers import t_real
 
 
 def test_identity_matrix_returns_rhs():
@@ -258,6 +260,103 @@ def test_reflect_matches_the_hpd_formula_and_keeps_norms(n):
     assert np.linalg.norm(y - ref) / np.linalg.norm(ref) < 1e-13
     np.testing.assert_allclose(np.linalg.norm(y, axis=-2), np.linalg.norm(x, axis=-2),
                                rtol=1e-13)
+
+
+@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@given(m=st.integers(1, 3), c=st.integers(1, 12), n_frac=st.floats(0.0, 1.0),
+       b=st.integers(1, 10), complex_v=st.booleans(), seed=st.integers(0, 2 ** 16))
+@example(m=2, c=8, n_frac=0.5, b=4, complex_v=False, seed=0)  # c = 2b
+@example(m=1, c=6, n_frac=0.7, b=3, complex_v=True, seed=1)   # c = 2b
+def test_reflect_either_association_matches_the_hpd_formula(m, c, n_frac, b,
+                                                            complex_v, seed):
+    # n < c except at c = 1, where the reflector is -I
+    n = max(1, min(c - 1, int(n_frac * c)))
+    rng = np.random.default_rng(seed)
+    v, x = rng.standard_normal((m, c, n)), rng.standard_normal((m, c, b))
+    if complex_v:
+        v, x = v + 1j * rng.standard_normal(v.shape), x + 1j * rng.standard_normal(x.shape)
+    y, (through_b, _) = reflect(v, linalg.gram_factor(v), x)
+    assert (through_b is not None) == (c < 2 * b)
+    vh = np.conj(np.swapaxes(v, -1, -2))
+    ref = x - 2.0 * (v @ solve_hpd(vh @ v, vh @ x))
+    assert np.linalg.norm(y - ref) <= 1e-12 * np.linalg.norm(ref)
+    np.testing.assert_allclose(np.linalg.norm(y, axis=-2), np.linalg.norm(x, axis=-2),
+                               rtol=1e-12)
+
+
+_U = np.finfo(np.float64).eps / 2
+
+
+def _gamma(k, u=_U):
+    return k * u / (1 - k * u)
+
+
+def _inner_product_gamma(k, complex_data, u=_U):
+    """Bound on |fl(a^H b) - a^H b| / (|a|^T |b|) for a length-k inner product
+    (Higham 2002, ch. 3), in any summation order, with or without FMA. A
+    complex one is two real inner products of length 2k, over terms whose
+    moduli |a_r b_r| + |a_i b_i| and |a_r b_i| + |a_i b_r| sum to at most
+    |a| |b| each, so its real and imaginary errors are at most gamma_2k."""
+    return np.sqrt(2.0) * _gamma(2 * k, u) if complex_data else _gamma(k, u)
+
+
+def _near_dependent_kernel(rng, c, n, k):
+    v = rng.standard_normal((c, n, k, k)) / np.sqrt(c)
+    v[:, 1] = v[:, 0] + 1e-5 * rng.standard_normal((c, k, k))
+    return v
+
+
+@pytest.mark.parametrize("near_dependent", [False, True])
+def test_reflector_orthogonality_defect_is_bounded_through_b(near_dependent):
+    """||W^H W - I||_2 of each frequency's computed W against the defect of B.
+
+    W_B = I - 2 B^H B, exact in the computed B = L^{-1} V^H, has
+    W_B^H W_B - I = 4 B^H (B B^H - I) B, so its defect is at most
+    delta = 4 ||B||_2^2 ||B B^H - I||_2. The computed W = fl(fl(-2 fl(B^H u))
+    + I) with u = fl(B I) differs from W_B by E, entrywise
+      |u - B| <= g(c) |B|               (u is B I, a length-c GEMM)
+      |fl(B^H u) - B^H u| <= g(n) |B^H| |u|
+      the product by -2 is exact; adding I rounds once: <= gamma_1 |W|,
+    with g the inner-product bound above. So |E| <= kappa |B|^H |B| +
+    gamma_1 |W|, kappa = 2 (g(c) + g(n) (1 + g(c))), and
+    ||W^H W - I|| <= delta + 2 ||W_B|| ||E|| + ||E||^2 with ||W_B||^2 <= 1 + delta.
+    W^H W - I and B B^H - I are summed in extended precision, whose g_ext
+    terms the bound adds; rounding them back to double for the SVD moves
+    each norm by a relative 1e-16, far below every term here.
+    """
+    c, n, k, s = 16, 4, 3, 8
+    rng = np.random.default_rng(31)
+    v = (_near_dependent_kernel(rng, c, n, k) if near_dependent
+         else rng.standard_normal((c, n, k, k)) / np.sqrt(c))
+    op = conv_prepare(EagerOps, v, ConvGeometry(c, c, s, k))
+    w, (b, _) = reflect(op.vf, op.factor, np.eye(c))
+    assert b is not None  # c < 2c: the association through B
+    if near_dependent:
+        gram = _spectrum_gram(v, s + 2 * (k // 2))
+        assert np.max(np.linalg.cond(gram)) > 1e9
+
+    u_ext = np.finfo(np.longdouble).eps / 2
+    ext = lambda a: a.astype(np.clongdouble)
+    conj_t = lambda a: np.conj(np.swapaxes(a, -1, -2))
+    norm2 = lambda a: np.linalg.norm(a, 2, axis=(-2, -1))
+    g = lambda kk: _inner_product_gamma(kk, True)
+    g_ext = lambda kk: _inner_product_gamma(kk, True, u_ext)
+
+    def defect(a, inner):
+        # ||a a^H - I||_2, its products in extended precision, plus their bound
+        d = (ext(a) @ conj_t(ext(a)) - np.eye(a.shape[-2])).astype(np.complex128)
+        return norm2(d) + g_ext(inner) * norm2(np.abs(a) @ conj_t(np.abs(a)))
+
+    measured = norm2((ext(conj_t(w)) @ ext(w) - np.eye(c)).astype(np.complex128))
+    delta = 4.0 * norm2(b) ** 2 * defect(b, c)
+    kappa = 2.0 * (g(c) + g(n) * (1.0 + g(c)))
+    e = kappa * norm2(conj_t(np.abs(b)) @ np.abs(b)) + _gamma(1) * norm2(np.abs(w))
+    eval_err = g_ext(c) * norm2(conj_t(np.abs(w)) @ np.abs(w))
+    bound = delta + 2.0 * np.sqrt(1.0 + delta) * e + e * e + eval_err
+    assert np.all(measured <= bound)
+    # the bound is that of B, not of rounding alone
+    if near_dependent:
+        assert np.max(measured) > 1e-8 and np.max(bound) < 2 * np.max(measured)
 
 
 def test_reflector_above_the_block_size_runs_no_lu(monkeypatch):

@@ -5,7 +5,7 @@ import pytest
 
 from brolip import linalg
 from brolip.errors import ContractError
-from brolip.models import (LayerSpec, build_model, bronet_mini,
+from brolip.models import (LayerSpec, _reflector, build_model, bronet_mini,
                            lipconvnet_mini)
 from brolip.tape import (EagerOps, Tape, grad_check, t_l2_pool, t_maxmin, t_mul,
                          t_sum)
@@ -173,3 +173,15 @@ def test_taped_step_backward_never_factors(monkeypatch):
     grads = tape.backward(out)
     assert len(calls) == 3
     assert all(np.any(grads[var.idx]) for var in params.values())
+
+
+@pytest.mark.parametrize("specs", [lipconvnet_mini(2, 4), bronet_mini(2, 2)],
+                         ids=["lipconvnet", "bronet"])
+def test_dense_reflectors_are_exactly_symmetric(specs):
+    # lipconvnet's 32 x 32 semi-orthogonal and bronet's 8 x 8 dense reflectors
+    reflectors = [(layer.v, layer.v.shape[0]) for layer in build_model(specs, 0).layers
+                  if layer.kind in ("semi_ortho", "bro_dense")]
+    assert reflectors
+    for v, m in reflectors:
+        w = _reflector(EagerOps, v, m)
+        assert np.array_equal(w, w.T)

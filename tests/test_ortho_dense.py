@@ -25,6 +25,15 @@ class TestBlockReflector:
         w = block_reflector(v)
         np.testing.assert_allclose(w, -np.eye(5), atol=1e-12)
 
+    @pytest.mark.parametrize("m, n", [(8, 2), (32, 16), (64, 48)])
+    def test_real_reflector_is_exactly_symmetric(self, m, n):
+        # W = I - 2 B^T (B I): B I is B exactly (each entry one product with 1
+        # plus products with 0), so entries (i, j) and (j, i) of B^T B sum the
+        # same products, and numpy's GEMM sums them in the same order at
+        # these sizes
+        w = block_reflector(np.random.default_rng(m + n).standard_normal((m, n)))
+        assert np.array_equal(w, w.T)
+
     def test_eigenvalue_counts(self):
         v = np.random.default_rng(1).standard_normal((8, 3))
         w = bro_orthogonalize(BroParam(v)).array

@@ -8,10 +8,11 @@ import pytest
 from brolip import linalg
 from brolip.errors import ContractError
 from brolip.fft import real_half
-from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_conj,
-                         t_custom_scalar, t_l2_pool, t_matmul, t_maxmin, t_mul,
-                         t_real, t_reflect, t_row_normalize, t_scale_by,
-                         t_slice2d, t_sum, tape_backward)
+from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_custom_scalar,
+                         t_l2_pool, t_matmul, t_maxmin, t_mul, t_reflect,
+                         t_row_normalize, t_scale_by, t_slice2d, t_sum,
+                         tape_backward)
+from tape_helpers import t_conj, t_real
 
 
 def test_square_gradient():
@@ -125,6 +126,53 @@ def test_reflect_gradient_for_complex_per_frequency_operands(wrt):
     else:
         err = _complex_grad_error(lambda x: _reflect_readout(x.tape.constant(v0), x, r), x0)
     assert err < 1e-7
+
+
+@pytest.mark.parametrize("wrt", ["v", "x"])
+@pytest.mark.parametrize("complex_data", [False, True])
+def test_reflect_gradient_through_b(wrt, complex_data):
+    # c = 6 < 2b = 8: the forward forms B = L^{-1} V^H and the adjoint reuses it
+    rng = np.random.default_rng(12)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if complex_data else a
+
+    v0, x0, r = draw(4, 6, 2), draw(4, 6, 4), draw(4, 6, 4)
+    assert linalg.reflect(v0, linalg.gram_factor(v0), x0)[1][0] is not None
+    if wrt == "v":
+        f, z0 = lambda v: _reflect_readout(v, v.tape.constant(x0), r), v0
+    else:
+        f, z0 = lambda x: _reflect_readout(x.tape.constant(v0), x, r), x0
+    err = _complex_grad_error(f, z0) if complex_data else grad_check(f, z0, h=1e-6)
+    assert err < 1e-7
+
+
+@pytest.mark.parametrize("b, forward, x_only, with_v", [(4, 1, 0, 1), (3, 2, 2, 2)])
+def test_reflect_adjoint_solves_only_where_its_association_needs(
+        monkeypatch, b, forward, x_only, with_v):
+    """Triangular solves: through B (c < 2b) the x adjoint needs none and V
+    one right-side solve; otherwise every application takes two."""
+    rng = np.random.default_rng(13)
+    v0 = rng.standard_normal((3, 6, 2)) + 1j * rng.standard_normal((3, 6, 2))
+    x0, r = rng.standard_normal((3, 6, b)), rng.standard_normal((3, 6, b))
+    factor = linalg.gram_factor(v0)
+    calls = []
+    substitute = linalg._substitute
+    monkeypatch.setattr(linalg, "_substitute",
+                        lambda *args, **kw: calls.append(args) or substitute(*args, **kw))
+
+    def solves(fn):
+        calls.clear()
+        return fn(), len(calls)
+
+    for v_grad, backward in ((False, x_only), (True, with_v)):
+        tape = Tape()
+        y, n = solves(lambda: t_reflect(tape.leaf(v0, requires_grad=v_grad), factor,
+                                        tape.leaf(x0)))
+        assert n == forward
+        out = t_sum(t_real(t_mul(y, tape.constant(r))))
+        assert solves(lambda: tape.backward(out))[1] == backward
 
 
 @pytest.mark.parametrize("dtype", [float, complex])
