@@ -15,10 +15,11 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import linalg
-from .errors import ContractError, DivergedError
+from .errors import ContractError
 from .fft import half_plane
-from .ortho import (ConvGeometry, block_reflector, cayley_orthogonalize,
-                    cayley_transform, conv_prepare, lot_orthogonalize, tap_spectrum)
+from .ortho import (BroConvKernel, BroParam, ConvGeometry, block_reflector,
+                    cayley_orthogonalize, cayley_transform, conv_prepare,
+                    lot_orthogonalize, newton_iterates, tap_spectrum)
 from .tape import EagerOps
 from .tensor import alloc_stats, reset_alloc_stats
 
@@ -80,23 +81,11 @@ def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
 
 
 def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
-    """Per-frequency Newton orthogonalization (batched over frequencies)."""
+    """Per-frequency Newton orthogonalization (`ortho.newton_iterates`,
+    batched over the half-plane frequencies)."""
     size = s + 2 * (v.shape[-1] // 2)
-    vf = tap_spectrum(EagerOps, v, size)
-    vh = np.conj(np.swapaxes(vf, -1, -2))
-    gram = vh @ vf
-    fro = np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
-    y = gram / fro
-    vn = vf / np.sqrt(fro)
-    n = gram.shape[-1]
-    eye = np.eye(n)[None]
-    z = np.broadcast_to(eye, y.shape).copy().astype(np.complex128)
-    for i in range(1, iters + 1):
-        t = 3.0 * eye - z @ y
-        y = 0.5 * (y @ t)
-        z = 0.5 * (t @ z)
-        if not np.all(np.isfinite(z)):
-            raise DivergedError(i, "non-finite Newton iterate during benchmark")
+    for vn, z in newton_iterates(tap_spectrum(EagerOps, v, size), iters):
+        pass  # only the last iterate is formed
     return half_plane(size).mirror(vn @ z)
 
 
@@ -125,7 +114,7 @@ def bench_dense(method: str, m: int, n: int, reps: int, iters: int = 10,
         raise ContractError(f"need at least {MIN_REPS} repetitions")
     rng = np.random.default_rng(seed)
     if method == "bro":
-        v = rng.standard_normal((m, n)) / np.sqrt(m)
+        v = BroParam(rng.standard_normal((m, n)) / np.sqrt(m)).v
         fn = lambda: block_reflector(v)
     elif method == "cayley":
         v = rng.standard_normal((m, m)) / np.sqrt(m)
@@ -151,12 +140,13 @@ def bench_conv(method: str, c: int, s: int, k: int, n: int, reps: int,
     v = rng.standard_normal((c, n, k, k)) / np.sqrt(c)
     shape = {"c": c, "s": s, "k": k, "n": n}
     if method == "bro":
+        v = BroConvKernel(v).v
         fn = lambda: bro_conv_param_transform(v, s)
     elif method == "cayley":
-        vsq = rng.standard_normal((c, c, k, k)) / np.sqrt(c)
+        vsq = BroConvKernel(rng.standard_normal((c, c, k, k)) / np.sqrt(c)).v
         fn = lambda: cayley_conv_param_transform(vsq, s)
     elif method == "lot":
-        vsq = rng.standard_normal((c, c, k, k)) / np.sqrt(c)
+        vsq = BroConvKernel(rng.standard_normal((c, c, k, k)) / np.sqrt(c)).v
         fn = lambda: lot_conv_param_transform(vsq, s, iters)
     else:
         raise ContractError(f"unknown method {method!r}")

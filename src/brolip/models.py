@@ -18,11 +18,12 @@ Lipschitz constant but would complicate the margin bookkeeping.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from itertools import takewhile
 
 import numpy as np
 
 from . import linalg
-from .certify import LipschitzModel
+from .certify import LipschitzModel, compose_lipschitz
 from .errors import ContractError
 from .ortho import (ConvGeometry, ConvOperator, conv_apply, conv_prepare,
                     identity_kernel)
@@ -64,7 +65,9 @@ def _constants(ops, operator):
 
 class _Layer:
     """`forward` is `apply` after `prepare`; a layer without parameters
-    prepares no operator."""
+    prepares no operator. Every layer kind is 1-Lipschitz."""
+
+    lipschitz = 1.0
 
     def prepare(self, ops, p):
         return None
@@ -80,45 +83,9 @@ class _Linear(_Layer):
         return ops.matmul(_flatten(ops, x), wt)
 
 
-class BroConvLayer(_Layer):
-    kind = "bro_conv"
-    lipschitz = 1.0
-
-    def __init__(self, v, alpha, geom: ConvGeometry, residual: bool, depth_norm: float):
-        self.v = as_real_array(v)
-        self.alpha = np.asarray(float(alpha))
-        self.geom = geom
-        self.residual = residual
-        self.depth_norm = float(depth_norm)
-
-    def params(self):
-        out = {"v": self.v}
-        if self.residual:
-            out["alpha"] = self.alpha
-        return out
-
-    def prepare(self, ops, p):
-        v = p["v"]
-        if self.residual:
-            ik = identity_kernel(*self.v.shape[:2], self.v.shape[2])
-            scaled = ops.scale(ops.scale_by(v, p["alpha"]), 1.0 / self.depth_norm)
-            v = ops.add(ops.constant(ik), scaled)
-        return conv_prepare(ops, v, self.geom)
-
-    def apply(self, ops, operator, x):
-        return conv_apply(ops, operator, x, self.geom)
-
-    def out_shape(self, shape):
-        c, s, _ = shape
-        if (c, s) != (self.geom.channels_in, self.geom.spatial):
-            raise ContractError(f"conv layer expects {self.geom}, got input {shape}")
-        size = self.geom.padded_size if self.geom.keep_padding else s
-        return (c, size, size)
-
-
-class BroDenseLayer(_Linear):
-    kind = "bro_dense"
-    lipschitz = 1.0
+class _ResidualReflector(_Layer):
+    """Reflector layer on a parameter `v`; with `residual` the reflector is
+    built from I + (alpha / depth_norm) V, where `identity()` is I."""
 
     def __init__(self, v, alpha, residual: bool, depth_norm: float):
         self.v = as_real_array(v)
@@ -132,13 +99,47 @@ class BroDenseLayer(_Linear):
             out["alpha"] = self.alpha
         return out
 
-    def prepare(self, ops, p):
-        m, n = self.v.shape
+    def effective(self, ops, p):
         v = p["v"]
         if self.residual:
             scaled = ops.scale(ops.scale_by(v, p["alpha"]), 1.0 / self.depth_norm)
-            v = ops.add(ops.constant(np.eye(m, n)), scaled)
-        return ops.transpose(_reflector(ops, v, m), (1, 0))
+            v = ops.add(ops.constant(self.identity()), scaled)
+        return v
+
+
+class BroConvLayer(_ResidualReflector):
+    kind = "bro_conv"
+
+    def __init__(self, v, alpha, geom: ConvGeometry, residual: bool, depth_norm: float):
+        super().__init__(v, alpha, residual, depth_norm)
+        self.geom = geom
+
+    def identity(self):
+        return identity_kernel(*self.v.shape[:2], self.v.shape[2])
+
+    def prepare(self, ops, p):
+        return conv_prepare(ops, self.effective(ops, p), self.geom)
+
+    def apply(self, ops, operator, x):
+        return conv_apply(ops, operator, x, self.geom)
+
+    def out_shape(self, shape):
+        c, s, _ = shape
+        if (c, s) != (self.geom.channels_in, self.geom.spatial):
+            raise ContractError(f"conv layer expects {self.geom}, got input {shape}")
+        size = self.geom.padded_size if self.geom.keep_padding else s
+        return (c, size, size)
+
+
+class BroDenseLayer(_ResidualReflector, _Linear):
+    kind = "bro_dense"
+
+    def identity(self):
+        return np.eye(*self.v.shape)
+
+    def prepare(self, ops, p):
+        v = self.effective(ops, p)
+        return ops.transpose(_reflector(ops, v, self.v.shape[0]), (1, 0))
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.v.shape[0]:
@@ -148,7 +149,6 @@ class BroDenseLayer(_Linear):
 
 class SemiOrthoLayer(_Linear):
     kind = "semi_ortho"
-    lipschitz = 1.0
 
     def __init__(self, v, d_out: int, d_in: int):
         self.v = as_real_array(v)
@@ -173,7 +173,6 @@ class SemiOrthoLayer(_Linear):
 
 class MaxMinLayer(_Layer):
     kind = "maxmin"
-    lipschitz = 1.0
 
     def params(self):
         return {}
@@ -189,7 +188,6 @@ class MaxMinLayer(_Layer):
 
 class L2PoolLayer(_Layer):
     kind = "l2_pool"
-    lipschitz = 1.0
 
     def __init__(self, patch: int):
         self.patch = patch
@@ -211,7 +209,6 @@ class LLNHead(_Linear):
     """Classification head whose weight rows are unit-normalized on use."""
 
     kind = "lln_head"
-    lipschitz = 1.0
 
     def __init__(self, w):
         self.w = as_real_array(w)
@@ -250,12 +247,9 @@ class Network:
         return LipschitzModel([(l.kind, l.lipschitz) for l in self.layers])
 
     def backbone_bound(self) -> float:
-        bound = 1.0
-        for layer in self.layers:
-            if layer.kind == "lln_head":
-                break
-            bound *= layer.lipschitz
-        return bound
+        """Composed constant of the layers before the head."""
+        backbone = takewhile(lambda l: l.kind != "lln_head", self.layers)
+        return compose_lipschitz(LipschitzModel([(l.kind, l.lipschitz) for l in backbone]))
 
     def head_rows(self):
         """Unit-normalized head rows as applied, or None without a head."""

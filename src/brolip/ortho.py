@@ -24,10 +24,12 @@ spectrum, the only rows the inverse does not pair into a real sum.
 Two competing constructions are provided for comparison: the Cayley
 transform of a skew-symmetrized parameter (`cayley_transform`, batched, is
 shared with the per-frequency benchmark), and the Newton-iteration polar
-orthogonalization (with its per-iteration conditioning diagnostics, since
-the iteration carries no orthogonality guarantee for ill-conditioned
-parameters). A brute-force circulant materialization serves as the oracle
-for the FFT path.
+orthogonalization. The Newton iteration is written once, batched
+(`newton_iterates`); the dense `lot_orthogonalize` adds its per-iteration
+conditioning diagnostics, since the iteration carries no orthogonality
+guarantee for ill-conditioned parameters, and the per-frequency benchmark
+runs the same iteration. The oracle for the FFT path is the explicit matrix
+of a k = 1 conv, W kron I: the same c x c reflector at every pixel.
 """
 
 from __future__ import annotations
@@ -39,7 +41,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
-from .fft import fft2, half_tap_dft, ifft2, imag_residue
+from .fft import half_tap_dft, imag_residue
 from .tensor import Tensor, as_real_array
 from .tape import EagerOps
 
@@ -321,38 +323,47 @@ def cayley_orthogonalize(v) -> Tensor:
     return Tensor(cayley_transform(v))
 
 
-def lot_orthogonalize(v, iters: int) -> tuple[Tensor, list[float]]:
-    """Newton-iteration polar orthogonalization W = V (V^T V)^{-1/2}.
+def newton_iterates(v: np.ndarray, iters: int):
+    """Coupled Newton iteration towards the polar factor V (V^H V)^{-1/2}, batched.
 
-    Runs the coupled iteration Y_{i+1} = Y_i (3I - Z_i Y_i)/2,
-    Z_{i+1} = (3I - Z_i Y_i) Z_i / 2 from Y_0 = V^T V scaled by its
-    Frobenius norm (the scaling is folded into V so a converged Z still
-    yields the polar factor). Returns the final V Z product and the
-    condition number of W^T W after each iteration; there is no
-    orthogonality guarantee, the trace is the product.
+    `v` is (..., m, n). Y_0 = V^H V is scaled by its Frobenius norm (the
+    scaling is folded into V as vn, so a converged Z still yields the polar
+    factor), Z_0 = I, then Y_{i+1} = Y_i (3I - Z_i Y_i)/2 and
+    Z_{i+1} = (3I - Z_i Y_i) Z_i / 2. Yields (vn, Z_i) after each iteration;
+    vn @ Z_i is the i-th estimate. Raises `DivergedError` at the first
+    non-finite iterate.
     """
-    v = as_real_array(v)
-    if v.ndim != 2 or v.shape[0] != v.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {v.shape}")
     if iters < 1:
         raise ContractError("need at least one iteration")
-    m = v.shape[0]
-    gram = v.T @ v
-    fnorm = float(np.linalg.norm(gram))
+    gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+    fro = np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
-        y = gram / fnorm
-        vn = v / np.sqrt(fnorm)
-    eye = np.eye(m)
-    z = eye.copy()
-    conds: list[float] = []
-    w = vn @ z
+        y = gram / fro
+        vn = v / np.sqrt(fro)
+    eye = np.eye(gram.shape[-1])
+    z = np.broadcast_to(eye, y.shape).astype(y.dtype)
     for i in range(1, iters + 1):
         t = 3.0 * eye - z @ y
         y = 0.5 * (y @ t)
         z = 0.5 * (t @ z)
+        if not np.all(np.isfinite(z)):
+            raise DivergedError(i, "non-finite Newton iterate")
+        yield vn, z
+
+
+def lot_orthogonalize(v, iters: int) -> tuple[Tensor, list[float]]:
+    """Newton-iteration polar orthogonalization W = V (V^T V)^{-1/2}.
+
+    Runs `newton_iterates` on the square parameter. Returns the final V Z
+    product and the condition number of W^T W after each iteration; there
+    is no orthogonality guarantee, the trace is the product.
+    """
+    v = as_real_array(v)
+    if v.ndim != 2 or v.shape[0] != v.shape[1]:
+        raise ShapeError(f"expected a square matrix, got {v.shape}")
+    conds: list[float] = []
+    for vn, z in newton_iterates(v, iters):
         w = vn @ z
-        if not np.all(np.isfinite(w)):
-            raise DivergedError(i, "non-finite iterate")
         conds.append(linalg.cond_spd(w.T @ w))
     return Tensor(w), conds
 
@@ -361,9 +372,12 @@ def materialize_conv_matrix(kernel: BroConvKernel, s: int) -> Tensor:
     """Explicit (c s^2) x (c s^2) matrix of the circular convolution.
 
     Restricted to the no-extra-pad path (k = 1) and to c s^2 <= 1024; used
-    as the structural oracle for the FFT path. Row/column blocks follow the
-    per-channel row-major vectorization, and each (c_out, c_in) block is the
-    doubly circulant matrix of the effective spatial kernel.
+    as the structural oracle for the FFT path. A k = 1 kernel has the same
+    spectrum at every frequency (Sedghi et al. 2019), so the conv applies one
+    c x c reflector W = I - 2 V (V^T V)^{-1} V^T at every pixel. W is
+    evaluated by that formula through `linalg.solve_hpd`, independently of
+    `linalg.reflect`. Row/column blocks follow the per-channel row-major
+    vectorization, so the matrix is W kron I_{s^2}.
     """
     if kernel.ksize != 1:
         raise ContractError("materialization covers the k=1 (no extra pad) path")
@@ -372,31 +386,6 @@ def materialize_conv_matrix(kernel: BroConvKernel, s: int) -> Tensor:
     if dim > _MATERIALIZE_CAP:
         raise ContractError(f"size cap exceeded: c*s^2 = {dim} > {_MATERIALIZE_CAP}")
 
-    n = kernel.rank
-    emb = np.zeros((c, n, s, s))
-    emb[:, :, 0, 0] = kernel.v[:, :, 0, 0]
-    vf = fft2(emb)                                    # (c, n, s, s)
-    vf = vf.transpose(2, 3, 0, 1).reshape(s * s, c, n)
-    vh = np.conj(np.swapaxes(vf, -1, -2))
-    sol = linalg.solve_hpd(vh @ vf, vh)               # (s^2, n, c)
-    wf = np.eye(c)[None] - 2.0 * (vf @ sol)           # (s^2, c, c)
-
-    # Effective spatial kernels: the frequency response equals the
-    # unnormalized DFT of the kernel, hence the extra 1/s on the unitary
-    # inverse transform.
-    wf_img = wf.reshape(s, s, c, c).transpose(2, 3, 0, 1)
-    h = ifft2(wf_img) / s
-    if float(np.max(np.abs(h.imag))) > 1e-9:
-        raise ContractError("effective spatial kernel has imaginary residue")
-    h = h.real
-
-    p = np.arange(s * s)
-    pr, pc = p // s, p % s
-    dr = (pr[:, None] - pr[None, :]) % s
-    dc = (pc[:, None] - pc[None, :]) % s
-    out = np.empty((dim, dim))
-    for co in range(c):
-        for ci in range(c):
-            out[co * s * s:(co + 1) * s * s, ci * s * s:(ci + 1) * s * s] = \
-                h[co, ci][dr, dc]
-    return Tensor(out)
+    v = kernel.v[:, :, 0, 0]
+    w = np.eye(c) - 2.0 * (v @ linalg.solve_hpd(v.T @ v, v.T))
+    return Tensor(np.kron(w, np.eye(s * s)))

@@ -10,7 +10,7 @@ from brolip.bench import (CSV_HEADER, MIN_REPS, BenchResult, bench_conv,
 from brolip.errors import ContractError
 from brolip.fft import fft2, half_plane
 from brolip import linalg
-from brolip.ortho import ConvGeometry, conv_prepare
+from brolip.ortho import ConvGeometry, conv_prepare, lot_orthogonalize
 from brolip.tape import EagerOps
 
 
@@ -54,6 +54,17 @@ def test_param_transforms_are_unitary_per_frequency():
         for f in range(wf.shape[0]):
             err = np.linalg.norm(wf[f] @ wf[f].conj().T - eye)
             assert err < 1e-6
+
+
+@pytest.mark.parametrize("c, s, iters", [(4, 3, 7), (6, 4, 12)])
+def test_k1_lot_conv_is_dense_newton_at_every_frequency(c, s, iters):
+    # a k = 1 kernel has the spectrum V / s at every frequency, and the
+    # Frobenius scaling removes the 1 / s
+    v = np.random.default_rng(c * s).standard_normal((c, c))
+    want = lot_orthogonalize(v, iters)[0].array
+    wf = lot_conv_param_transform(v[:, :, None, None], s, iters)
+    assert wf.shape == (s * s, c, c)
+    assert np.max(np.abs(wf - want)) < 1e-12
 
 
 def test_min_reps_contract():

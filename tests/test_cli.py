@@ -57,6 +57,19 @@ def test_bench_rejects_oversize(capsys):
     assert main(["bench", "--methods", "bro", "--c", "600", "--reps", "10"]) == 2
 
 
+@pytest.mark.parametrize("argv, cause", [
+    (["--c", "8", "--s", "4", "--kappa", "1.5"], "rank n=12 must not exceed channels c=8"),
+    (["--m", "16", "--kappa", "1.5"], "need n < m"),
+    (["--c", "8", "--s", "4", "--k", "2"], "kernel size must be odd"),
+    (["--c", "8", "--s", "4", "--k", "2", "--methods", "cayley,lot"],
+     "kernel size must be odd"),
+])
+def test_bench_rejects_invalid_parameter_before_timing(argv, cause, capsys):
+    assert main(["bench", "--reps", "10"] + argv) == 2
+    err = capsys.readouterr().err
+    assert "usage error" in err and cause in err
+
+
 def test_bench_csv_schema(tmp_path, capsys):
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--methods", "bro",

@@ -69,6 +69,18 @@ def test_materialized_columns_match_basis_vectors():
         assert np.max(np.abs(y - mat[:, col])) < 1e-8
 
 
+@pytest.mark.parametrize("c, n, s", [(1, 1, 3), (2, 1, 4), (3, 2, 5), (4, 4, 2)])
+def test_materialized_matrix_commutes_with_every_pixel_shift(c, n, s):
+    # doubly circulant blocks: shifting every channel's pixels by (a, b)
+    # on both the output and the input side leaves the matrix unchanged
+    mat = materialize_conv_matrix(_kernel(c, n, 1, 20 + c), s).array
+    blocks = mat.reshape(c, s, s, c, s, s)
+    for a in range(s):
+        for b in range(s):
+            shifted = np.roll(blocks, (a, b, a, b), axis=(1, 2, 4, 5))
+            np.testing.assert_array_equal(shifted, blocks)
+
+
 def test_smallest_materialization():
     kern = _kernel(1, 1, 1, 8)
     mat = materialize_conv_matrix(kern, 2).array
