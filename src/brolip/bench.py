@@ -138,7 +138,8 @@ def bench_conv(method: str, c: int, s: int, k: int, n: int, reps: int,
             f"desk-scale caps are c <= {MAX_CHANNELS} and s <= {MAX_SPATIAL}")
     rng = np.random.default_rng(seed)
     v = rng.standard_normal((c, n, k, k)) / np.sqrt(c)
-    shape = {"c": c, "s": s, "k": k, "n": n}
+    # cayley and lot transform the full c x c kernel, so they run at rank c
+    shape = {"c": c, "s": s, "k": k, "n": n if method == "bro" else c}
     if method == "bro":
         v = BroConvKernel(v).v
         fn = lambda: bro_conv_param_transform(v, s)

@@ -116,9 +116,8 @@ def cmd_bench(args) -> int:
             for method in methods:
                 if method == "bro":
                     continue  # covered by the kappa sweep below
-                n = max(1, int(round(args.kappa_list[0] * args.c)))
-                rows.append(benchmod.bench_conv(
-                    method, args.c, args.s, args.k, n, args.reps,
+                rows.append(benchmod.bench_conv(  # full c x c kernel: rank c
+                    method, args.c, args.s, args.k, args.c, args.reps,
                     iters=args.iters, seed=args.seed))
             if "bro" in methods:
                 sweep = benchmod.rank_sweep(args.c, args.s, args.k,

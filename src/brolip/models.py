@@ -8,7 +8,10 @@ the twin op backends, so one implementation serves eager inference and
 taped training. Each layer splits into `prepare(ops, params)`, which
 builds its parameter-side operator, and `apply(ops, operator, x)`;
 `forward` is the two in sequence, and an attack on a frozen network
-prepares every operator once and records only `apply`.
+prepares every operator once and records only `apply`. A conv whose
+kernel takes no gradient (every eager forward, and `Network.prepare`)
+prepares its dense matrix when c s^2 <= 1024 and applies it as one GEMM;
+a conv being trained, or a larger one, keeps the per-frequency operator.
 
 Inputs are batch-first; dense-style layers flatten image-shaped inputs
 implicitly. There are no bias terms anywhere: they would not change any
@@ -25,8 +28,8 @@ import numpy as np
 from . import linalg
 from .certify import LipschitzModel, compose_lipschitz
 from .errors import ContractError
-from .ortho import (ConvGeometry, ConvOperator, conv_apply, conv_prepare,
-                    identity_kernel)
+from .ortho import (_MATERIALIZE_CAP, ConvGeometry, ConvOperator, conv_apply,
+                    conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel)
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
 
@@ -118,17 +121,26 @@ class BroConvLayer(_ResidualReflector):
         return identity_kernel(*self.v.shape[:2], self.v.shape[2])
 
     def prepare(self, ops, p):
-        return conv_prepare(ops, self.effective(ops, p), self.geom)
+        """The conv's `ConvOperator` while its kernel takes a gradient or
+        c s^2 exceeds the materialization cap; otherwise its dense matrix
+        (`conv_matrix`), which `apply` runs as one GEMM."""
+        v = self.effective(ops, p)
+        op = conv_prepare(ops, v, self.geom)
+        g = self.geom
+        if (isinstance(v, Var) and v.requires_grad) or \
+                g.channels_in * g.spatial ** 2 > _MATERIALIZE_CAP:
+            return op
+        return conv_matrix(ops, op, g)
 
     def apply(self, ops, operator, x):
-        return conv_apply(ops, operator, x, self.geom)
+        run = conv_apply if isinstance(operator, ConvOperator) else conv_matrix_apply
+        return run(ops, operator, x, self.geom)
 
     def out_shape(self, shape):
         c, s, _ = shape
         if (c, s) != (self.geom.channels_in, self.geom.spatial):
             raise ContractError(f"conv layer expects {self.geom}, got input {shape}")
-        size = self.geom.padded_size if self.geom.keep_padding else s
-        return (c, size, size)
+        return (c, self.geom.output_size, self.geom.output_size)
 
 
 class BroDenseLayer(_ResidualReflector, _Linear):

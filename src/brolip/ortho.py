@@ -30,6 +30,12 @@ conditioning diagnostics, since the iteration carries no orthogonality
 guarantee for ill-conditioned parameters, and the per-frequency benchmark
 runs the same iteration. The oracle for the FFT path is the explicit matrix
 of a k = 1 conv, W kron I: the same c x c reflector at every pixel.
+
+At desk scale a conv is also a small fixed linear map (Sedghi et al.
+2019): for c s^2 <= 1024, `conv_matrix` runs the spectral path once on the
+identity basis and returns the conv's dense matrix, and `conv_matrix_apply`
+applies it as one GEMM, whose adjoint is the transposed GEMM. Its residue
+gate bounds every input at once, so it is no looser than the per-call one.
 """
 
 from __future__ import annotations
@@ -41,7 +47,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
-from .fft import half_tap_dft, imag_residue
+from .fft import half_tap_dft, imag_residue, real_half
 from .tensor import Tensor, as_real_array
 from .tape import EagerOps
 
@@ -127,6 +133,10 @@ class ConvGeometry:
     @property
     def padded_size(self) -> int:
         return self.spatial + 2 * self.half_pad
+
+    @property
+    def output_size(self) -> int:
+        return self.padded_size if self.keep_padding else self.spatial
 
 
 def block_reflector(v: np.ndarray) -> np.ndarray:
@@ -218,6 +228,31 @@ def _imag_max(a: np.ndarray) -> float:
     return float(np.abs(a.imag).max()) if np.iscomplexobj(a) and a.size else 0.0
 
 
+def _require_real(name: str, worst: float) -> None:
+    """Raise `ContractError` when `name`'s largest imaginary magnitude is nonzero."""
+    if worst:
+        raise ContractError(
+            f"{name} has imaginary residue {worst:.3e}; the conv needs a real "
+            "kernel and input, whose spectra are conjugate-symmetric")
+
+
+def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
+    """The reflector applied to the half-plane spectrum of the padded `x`, (m, c, B)."""
+    _require_real("kernel", op.kernel_imag)
+    _require_real("input", _imag_max(ops.value(x)))
+    kp = geom.half_pad
+    xp = ops.pad_last2(x, kp, kp) if kp else x
+    return ops.reflect(op.vf, op.factor, ops.rdft_half(xp))
+
+
+def _image(ops, yf, geom: ConvGeometry):
+    """The real image (B, c, p, p) of a half-plane spectrum, cropped unless kept."""
+    y = ops.irdft_half(yf, geom.padded_size)
+    if not geom.keep_padding and geom.half_pad:
+        y = ops.crop_last2(y, geom.half_pad)
+    return y
+
+
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     """Orthogonal circular convolution of a batched input, backend-generic.
 
@@ -233,30 +268,58 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     must stay below CONV_IMAG_TOL * max(1, max|x|).
     """
     op = v_eff if isinstance(v_eff, ConvOperator) else conv_prepare(ops, v_eff, geom)
+    yf = _reflected_spectrum(ops, op, x, geom)
     xv = ops.value(x)
-    for name, worst in (("kernel", op.kernel_imag), ("input", _imag_max(xv))):
-        if worst:
-            raise ContractError(
-                f"{name} has imaginary residue {worst:.3e}; the conv needs a real "
-                "kernel and input, whose spectra are conjugate-symmetric")
-    kp = geom.half_pad
-    size = geom.padded_size
-
-    xp = ops.pad_last2(x, kp, kp) if kp else x
-    xf = ops.rdft_half(xp)                              # (m, c, B)
-
-    yf = ops.reflect(op.vf, op.factor, xf)
-
-    worst = imag_residue(ops.value(yf), size)
+    worst = imag_residue(ops.value(yf), geom.padded_size)
     tol = CONV_IMAG_TOL * max(1.0, float(np.abs(xv).max()) if xv.size else 0.0)
     if worst > tol:
         raise ContractError(
             f"imaginary residue {worst:.3e} exceeds {tol:.1e}; "
             "parameterization should produce a real output")
-    y = ops.irdft_half(yf, size)                        # (B, c, p, p)
-    if not geom.keep_padding and kp:
-        y = ops.crop_last2(y, kp)
-    return y
+    return _image(ops, yf, geom)
+
+
+def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
+    """The dense (c s^2, c s_out^2) matrix M of a prepared conv: row j is the conv of e_j.
+
+    Runs the spectral path of `conv_apply` once, on the identity basis (a
+    batch of c s^2 inputs), so a batch x (B, c, s, s) convolves as
+    reshape(x, (B, c s^2)) @ M. Limited to c s^2 <= 1024. The gate is the
+    basis form of `conv_apply`'s: with R_j the imaginary residue that basis
+    input j leaves at each pixel class and channel (through
+    `fft.real_half(p).residue`, as `fft.imag_residue` reads it), it requires
+    max over class and channel of sum_j |R_j| <= CONV_IMAG_TOL. Since the
+    residue is linear in the input, every x then has residue at most
+    CONV_IMAG_TOL * max|x|, no looser than the per-call gate.
+    """
+    c, s = geom.channels_in, geom.spatial
+    dim = c * s * s
+    if dim > _MATERIALIZE_CAP:
+        raise ContractError(f"size cap exceeded: c*s^2 = {dim} > {_MATERIALIZE_CAP}")
+    basis = ops.constant(np.eye(dim).reshape(dim, c, s, s))
+    yf = _reflected_spectrum(ops, op, basis, geom)
+    tables = real_half(geom.padded_size)
+    imag = ops.value(yf)[tables.self_conjugate].imag.reshape(tables.self_conjugate.size, -1)
+    bound = float(np.abs(tables.residue @ imag).reshape(-1, dim).sum(axis=1).max())
+    if bound > CONV_IMAG_TOL:
+        raise ContractError(
+            f"imaginary residue over the basis {bound:.3e} exceeds {CONV_IMAG_TOL:.1e}; "
+            "parameterization should produce a real output")
+    return ops.reshape(_image(ops, yf, geom), (dim, -1))
+
+
+def conv_matrix_apply(ops, m, x, geom: ConvGeometry):
+    """The conv whose `conv_matrix` is `m`, applied to a real batch (B, c, s, s).
+
+    One GEMM of the flattened input with `m`, reshaped to the output's
+    (B, c, s_out, s_out); on a tape its input adjoint is the transposed GEMM.
+    A complex input raises `ContractError`, as in `conv_apply`.
+    """
+    xv = ops.value(x)
+    _require_real("input", _imag_max(xv))
+    b, size = xv.shape[0], geom.output_size
+    y = ops.matmul(ops.reshape(x, (b, -1)), m)
+    return ops.reshape(y, (b, geom.channels_out, size, size))
 
 
 def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:

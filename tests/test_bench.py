@@ -81,6 +81,11 @@ def test_desk_scale_caps():
         bench_conv("bro", 16, 64, 1, 4, reps=10)
 
 
+@pytest.mark.parametrize("method", ["cayley", "lot"])
+def test_full_kernel_methods_record_rank_c(method):
+    assert bench_conv(method, 8, 4, 1, 2, reps=10).shape["n"] == 8
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ContractError):
         bench_dense("qr", 16, 4, reps=10)

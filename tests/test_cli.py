@@ -86,6 +86,17 @@ def test_bench_csv_schema(tmp_path, capsys):
     assert "monotone" in capsys.readouterr().err
 
 
+def test_bench_full_kernel_methods_report_rank_c(tmp_path):
+    # cayley and lot transform the whole c x c kernel, whatever --kappa says
+    out = tmp_path / "full.csv"
+    rc = main(["bench", "--methods", "lot,cayley", "--c", "16", "--s", "4",
+               "--kappa", "0.25", "--reps", "10", "--out", str(out)])
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert sorted(r[0] for r in rows) == ["cayley", "lot"]
+    assert all(r[3] == "16" and r[6] == "16" for r in rows)  # c and n
+
+
 def test_bench_dense_mode(tmp_path):
     out = tmp_path / "dense.csv"
     rc = main(["bench", "--methods", "bro,cayley", "--m", "24",
