@@ -12,6 +12,8 @@ import numpy as np
 
 from .errors import ContractError
 
+_BLOCK_ROWS = 4096
+
 
 def toy_dataset(kind: str, n: int, d: int, seed: int, *, classes: int = 2,
                 delta: float = 6.0, sigma: float = 1.0,
@@ -34,7 +36,14 @@ def toy_dataset(kind: str, n: int, d: int, seed: int, *, classes: int = 2,
         basis = np.linalg.qr(rng.standard_normal((d, classes)))[0].T
         labels = np.arange(n) % classes
         rng.shuffle(labels)
-        x = delta * basis[labels] + sigma * rng.standard_normal((n, d))
+        # the noise is drawn into x and the class means added a block of
+        # rows at a time, so building the set needs no second (n, d) array
+        x = rng.standard_normal((n, d))
+        x *= sigma
+        means = delta * basis
+        for start in range(0, n, _BLOCK_ROWS):
+            rows = slice(start, start + _BLOCK_ROWS)
+            x[rows] += means[labels[rows]]
         return x, labels.astype(np.int64)
     if kind == "two_rings":
         if d < 2:

@@ -140,19 +140,27 @@ def real_half(p: int) -> RealHalf:
     return _read_only(RealHalf(forward, inverse, self_conjugate, residue))
 
 
-def imag_residue(rows: np.ndarray, p: int) -> float:
-    """Largest imaginary magnitude of the inverse transform of a mirrored spectrum.
+def pixel_residue(rows: np.ndarray, p: int) -> np.ndarray:
+    """Imaginary part of the inverse transform of a mirrored spectrum, per pixel class.
 
     `rows` (m, ...) holds representative rows of a p x p spectrum. Their
     mirror conjugates every partner exactly, so the imaginary part of its
     unitary inverse comes only from the self-conjugate rows: at each pixel
     it is the sum of their imaginary parts times the real, +-1/p DFT
-    entries, one value per pixel class. This is that maximum, computed from
-    those s0 rows without the inverse transform.
+    entries, one value per pixel class. Returns those values, (classes, ...),
+    computed from the s0 rows without the inverse transform.
     """
     tables = real_half(p)
-    imag = rows[tables.self_conjugate].imag.reshape(tables.self_conjugate.size, -1)
-    return float(np.abs(tables.residue @ imag).max()) if imag.size else 0.0
+    imag = rows[tables.self_conjugate].imag
+    flat = tables.residue @ imag.reshape(tables.self_conjugate.size, -1)
+    return flat.reshape((len(tables.residue),) + rows.shape[1:])
+
+
+def imag_residue(rows: np.ndarray, p: int) -> float:
+    """Largest imaginary magnitude of the inverse transform of a mirrored
+    spectrum: the maximum of `pixel_residue`."""
+    residue = pixel_residue(rows, p)
+    return float(np.abs(residue).max()) if residue.size else 0.0
 
 
 def _check_square_trailing(shape: tuple[int, ...]) -> int:

@@ -10,8 +10,9 @@ builds its parameter-side operator, and `apply(ops, operator, x)`;
 `forward` is the two in sequence, and an attack on a frozen network
 prepares every operator once and records only `apply`. A conv whose
 kernel takes no gradient (every eager forward, and `Network.prepare`)
-prepares its dense matrix when c s^2 <= 1024 and applies it as one GEMM;
-a conv being trained, or a larger one, keeps the per-frequency operator.
+prepares its dense matrix when c s^2 <= `DENSE_CONV_MAX` and applies it as
+one GEMM; a conv being trained, or a larger one, keeps the per-frequency
+operator.
 
 Inputs are batch-first; dense-style layers flatten image-shaped inputs
 implicitly. There are no bias terms anywhere: they would not change any
@@ -28,10 +29,21 @@ import numpy as np
 from . import linalg
 from .certify import LipschitzModel, compose_lipschitz
 from .errors import ContractError
-from .ortho import (_MATERIALIZE_CAP, ConvGeometry, ConvOperator, conv_apply,
-                    conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel)
+from .ortho import (ConvGeometry, ConvOperator, conv_apply, conv_matrix,
+                    conv_matrix_apply, conv_prepare, identity_kernel)
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
+
+# Largest c s^2 at which a frozen conv layer runs as its dense matrix. An
+# eager forward builds the matrix (one spectral conv of batch c s^2) on
+# every call, so it pays only for batches past about c s^2. Per layer, k = 3,
+# one OpenBLAS thread on a 2-core Xeon: at batch 256 (`brolip certify`'s
+# default) the dense forward was faster up to c s^2 = 128 (0.55 against
+# 0.79 ms at c = 2, s = 8) and slower from 256 (3.3 against 2.5 ms at c = 4,
+# s = 8); at 1024 it lost even at batch 2048 (155 against 152 ms at c = 16,
+# s = 8). The switch cannot read the batch: an attack's prepared matrix must
+# match the recorded per-step forward bit for bit, whatever the batch.
+DENSE_CONV_MAX = 128
 
 
 @dataclass
@@ -122,13 +134,15 @@ class BroConvLayer(_ResidualReflector):
 
     def prepare(self, ops, p):
         """The conv's `ConvOperator` while its kernel takes a gradient or
-        c s^2 exceeds the materialization cap; otherwise its dense matrix
-        (`conv_matrix`), which `apply` runs as one GEMM."""
+        c s^2 exceeds `DENSE_CONV_MAX`; otherwise its dense matrix
+        (`conv_matrix`), which `apply` runs as one GEMM. A training step
+        applies its operator to one batch (32 by default), so a matrix
+        built there would cost a basis conv of c s^2 inputs per step."""
         v = self.effective(ops, p)
         op = conv_prepare(ops, v, self.geom)
         g = self.geom
         if (isinstance(v, Var) and v.requires_grad) or \
-                g.channels_in * g.spatial ** 2 > _MATERIALIZE_CAP:
+                g.channels_in * g.spatial ** 2 > DENSE_CONV_MAX:
             return op
         return conv_matrix(ops, op, g)
 

@@ -36,6 +36,8 @@ At desk scale a conv is also a small fixed linear map (Sedghi et al.
 identity basis and returns the conv's dense matrix, and `conv_matrix_apply`
 applies it as one GEMM, whose adjoint is the transposed GEMM. Its residue
 gate bounds every input at once, so it is no looser than the per-call one.
+A frozen conv layer takes this path only up to `models.DENSE_CONV_MAX`,
+the size to which it was measured to pay.
 """
 
 from __future__ import annotations
@@ -47,7 +49,7 @@ import numpy as np
 
 from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
-from .fft import half_tap_dft, imag_residue, real_half
+from .fft import half_tap_dft, imag_residue, pixel_residue
 from .tensor import Tensor, as_real_array
 from .tape import EagerOps
 
@@ -287,7 +289,7 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     reshape(x, (B, c s^2)) @ M. Limited to c s^2 <= 1024. The gate is the
     basis form of `conv_apply`'s: with R_j the imaginary residue that basis
     input j leaves at each pixel class and channel (through
-    `fft.real_half(p).residue`, as `fft.imag_residue` reads it), it requires
+    `fft.pixel_residue`, whose maximum is `fft.imag_residue`), it requires
     max over class and channel of sum_j |R_j| <= CONV_IMAG_TOL. Since the
     residue is linear in the input, every x then has residue at most
     CONV_IMAG_TOL * max|x|, no looser than the per-call gate.
@@ -298,9 +300,8 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
         raise ContractError(f"size cap exceeded: c*s^2 = {dim} > {_MATERIALIZE_CAP}")
     basis = ops.constant(np.eye(dim).reshape(dim, c, s, s))
     yf = _reflected_spectrum(ops, op, basis, geom)
-    tables = real_half(geom.padded_size)
-    imag = ops.value(yf)[tables.self_conjugate].imag.reshape(tables.self_conjugate.size, -1)
-    bound = float(np.abs(tables.residue @ imag).reshape(-1, dim).sum(axis=1).max())
+    residue = pixel_residue(ops.value(yf), geom.padded_size)   # (classes, c, dim)
+    bound = float(np.abs(residue).sum(axis=-1).max())
     if bound > CONV_IMAG_TOL:
         raise ContractError(
             f"imaginary residue over the basis {bound:.3e} exceeds {CONV_IMAG_TOL:.1e}; "
@@ -318,7 +319,7 @@ def conv_matrix_apply(ops, m, x, geom: ConvGeometry):
     xv = ops.value(x)
     _require_real("input", _imag_max(xv))
     b, size = xv.shape[0], geom.output_size
-    y = ops.matmul(ops.reshape(x, (b, -1)), m)
+    y = ops.matmul(ops.reshape(x, (b, geom.channels_in * geom.spatial ** 2)), m)
     return ops.reshape(y, (b, geom.channels_out, size, size))
 
 

@@ -7,7 +7,7 @@ from hypothesis import given, settings, strategies as st
 
 from brolip.errors import ContractError
 from brolip.fft import half_plane, imag_residue, real_half
-from brolip.models import BroConvLayer, build_model, lipconvnet_mini
+from brolip.models import DENSE_CONV_MAX, BroConvLayer, build_model, lipconvnet_mini
 from brolip.ortho import (CONV_IMAG_TOL, BroConvKernel, ConvGeometry, ConvOperator,
                           _reflected_spectrum, conv_apply, conv_matrix, conv_prepare,
                           materialize_conv_matrix)
@@ -133,12 +133,28 @@ def test_prepare_is_dense_only_for_a_frozen_kernel_within_the_cap():
     assert not isinstance(frozen, ConvOperator) and not frozen.requires_grad
     assert np.array_equal(frozen.value, eager)
 
-    # c s^2 = 4 * 17^2 = 1156 > 1024: spectral on either backend
+    # c s^2 = 2 * 8^2 = 128 is the largest dense size, 2 * 9^2 = 162 spectral
+    # on either backend, though conv_matrix still builds its matrix
+    edge = _layer(2, 1, 3, 8, False, seed=65)
+    assert DENSE_CONV_MAX == 128 and isinstance(edge.prepare(EagerOps, edge.params()), np.ndarray)
+    above = _layer(2, 1, 3, 9, False, seed=66)
+    op = above.prepare(EagerOps, above.params())
+    assert isinstance(op, ConvOperator) and isinstance(taped(above, False), ConvOperator)
+    assert conv_matrix(EagerOps, op, above.geom).shape == (162, 162)
+
+    # c s^2 = 4 * 17^2 = 1156 > 1024: no matrix at all
     big = _layer(4, 2, 3, 17, False, seed=64)
-    assert isinstance(big.prepare(EagerOps, big.params()), ConvOperator)
-    assert isinstance(taped(big, False), ConvOperator)
     with pytest.raises(ContractError, match="size cap"):
         conv_matrix(EagerOps, big.prepare(EagerOps, big.params()), big.geom)
+
+
+def test_dense_path_takes_an_empty_batch():
+    layer = _layer(4, 2, 3, 4, True, seed=67)
+    assert isinstance(layer.prepare(EagerOps, layer.params()), np.ndarray)
+    y = layer.forward(EagerOps, layer.params(), np.zeros((0, 4, 4, 4)))
+    assert y.shape == (0, 4, 6, 6)
+    net = build_model(lipconvnet_mini(2, 4), seed=1)
+    assert net.forward(np.zeros((0,) + net.input_shape)).shape == (0, net.classes())
 
 
 def test_network_prepare_holds_the_dense_conv_matrices():

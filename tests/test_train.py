@@ -36,6 +36,18 @@ class TestToyDatasets:
         np.testing.assert_array_equal(a[0], b[0])
         np.testing.assert_array_equal(a[1], b[1])
 
+    @pytest.mark.parametrize("n, classes", [(10000, 3), (4096, 2), (5, 2)])
+    def test_blobs_are_class_means_plus_scaled_noise(self, n, classes):
+        # the means are added in blocks of rows; the values are the
+        # one-expression delta * basis[labels] + sigma * noise's, bit for bit
+        x, y = toy_dataset("blobs", n, 8, seed=12, classes=classes, delta=3.0, sigma=0.7)
+        rng = np.random.default_rng(12)
+        basis = np.linalg.qr(rng.standard_normal((8, classes)))[0].T
+        labels = np.arange(n) % classes
+        rng.shuffle(labels)
+        np.testing.assert_array_equal(y, labels)
+        np.testing.assert_array_equal(x, 3.0 * basis[labels] + 0.7 * rng.standard_normal((n, 8)))
+
     def test_rings_geometry(self):
         x, y = toy_dataset("two_rings", 400, 8, seed=4)
         r = np.linalg.norm(x[:, :2], axis=1)
