@@ -14,6 +14,14 @@ real part. The block reflector is one node, `t_reflect`, with a closed-form
 adjoint that reuses the forward's Cholesky factor, so no VJP factors, and
 the B = L^{-1} V^H the forward formed, if it did.
 
+The pair and patch ops work on reshape views and move no axis: maxmin sees
+its axis as (size // 2, 2, rest), l2_pool its image as (q, p, q, p)
+patches. maxmin writes max(o, e) into each pair's even slot and min(e, o)
+into its odd one; each ufunc returns its second operand on equal inputs,
+so a tie keeps its entries in place, signed zeros included, and a NaN
+reaches both slots of its pair. The VJP routes the cotangent through the
+forward's e >= o mask.
+
 Layer math is written once against two backends with the same primitive
 names: `EagerOps` binds each name straight to its ndarray form, `TapeOps`
 to its `t_*` recorder, so neither adds a call between the math and the
@@ -24,6 +32,7 @@ A tape instance is single-threaded; independent tapes may run in parallel.
 
 from __future__ import annotations
 
+import math
 import operator
 from dataclasses import dataclass
 from typing import Callable
@@ -322,31 +331,40 @@ def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
     return v.tape._append("reflect", y, (v.idx, x.idx), vjp)
 
 
-def _maxmin_fwd(a: np.ndarray, axis: int):
-    m = np.moveaxis(a, axis, 0)
-    if m.shape[0] % 2:
+def _pairs(a: np.ndarray, axis: int) -> np.ndarray:
+    """`a` viewed as shape[:axis] + (size // 2, 2, rest).
+
+    Entries 2i and 2i + 1 along `axis` meet on the second-to-last axis.
+    `rest` is spelled out so that an empty array still reshapes.
+    """
+    shape = a.shape
+    lead = shape[:axis]
+    size = shape[axis]
+    if size % 2:
         raise ContractError(f"maxmin needs an even size along axis {axis}")
-    e, o = m[0::2], m[1::2]
-    take_e = e >= o
-    out = np.empty_like(m)
-    out[0::2] = np.where(take_e, e, o)
-    out[1::2] = np.where(take_e, o, e)
-    return np.moveaxis(out, 0, axis), take_e
+    return a.reshape(lead + (size // 2, 2, math.prod(shape[len(lead) + 1:])))
 
 
-def _maxmin_bwd(g: np.ndarray, take_e: np.ndarray, axis: int) -> np.ndarray:
-    gm = np.moveaxis(g, axis, 0)
-    ge, go = gm[0::2], gm[1::2]
-    out = np.empty_like(gm)
-    out[0::2] = np.where(take_e, ge, go)
-    out[1::2] = np.where(take_e, go, ge)
-    return np.moveaxis(out, 0, axis)
+def _maxmin(a: np.ndarray, axis: int) -> np.ndarray:
+    # the operand order is the tie rule: each ufunc returns its second
+    # operand on equal inputs, so a tie keeps e even and o odd
+    pairs = _pairs(a, axis)
+    e, o = pairs[..., :1, :], pairs[..., 1:, :]
+    out = np.empty(pairs.shape, a.dtype)
+    np.maximum(o, e, out=out[..., :1, :])
+    np.minimum(e, o, out=out[..., 1:, :])
+    return out.reshape(a.shape)
 
 
 def t_maxmin(a: Var, axis: int) -> Var:
-    out, take_e = _maxmin_fwd(a.value, axis)
-    return a.tape._append("maxmin", out, (a.idx,),
-                          lambda g: (_maxmin_bwd(g, take_e, axis),))
+    pairs = _pairs(a.value, axis)
+    take_e = pairs[..., :1, :] >= pairs[..., 1:, :]
+
+    def vjp(g):
+        gp = _pairs(g, axis)
+        return (np.where(take_e, gp, gp[..., ::-1, :]).reshape(g.shape),)
+
+    return a.tape._append("maxmin", _maxmin(a.value, axis), (a.idx,), vjp)
 
 
 def _l2_pool_fwd(a: np.ndarray, p: int):
@@ -355,24 +373,22 @@ def _l2_pool_fwd(a: np.ndarray, p: int):
         raise ContractError(f"l2_pool needs square spatial dims divisible by {p}")
     q = s // p
     blocks = a.reshape(a.shape[:-2] + (q, p, q, p))
-    blocks = np.moveaxis(blocks, -3, -2)          # (..., q, q, p, p)
-    norms = np.sqrt(np.sum(blocks * blocks, axis=(-1, -2)))
+    norms = np.sqrt(np.sum(blocks * blocks, axis=(-3, -1)))
     return norms, blocks
-
-
-def _l2_pool_bwd(g: np.ndarray, norms: np.ndarray, blocks: np.ndarray, p: int):
-    safe = np.where(norms > 0, norms, 1.0)
-    coeff = (g / safe)[..., None, None]
-    grad_blocks = np.where(norms[..., None, None] > 0, coeff * blocks, 0.0)
-    grad_blocks = np.moveaxis(grad_blocks, -2, -3)
-    q = norms.shape[-1]
-    return grad_blocks.reshape(norms.shape[:-2] + (q * p, q * p))
 
 
 def t_l2_pool(a: Var, p: int) -> Var:
     norms, blocks = _l2_pool_fwd(a.value, p)
-    return a.tape._append("l2_pool", norms, (a.idx,),
-                          lambda g: (_l2_pool_bwd(g, norms, blocks, p),))
+    shape = a.value.shape
+
+    def vjp(g):
+        # g / norm broadcast over each patch's (q, 1, q, 1) slot; 0 on a zero patch
+        safe = np.where(norms > 0, norms, 1.0)
+        coeff = (g / safe)[..., None, :, None]
+        grad = np.where(norms[..., None, :, None] > 0, coeff * blocks, 0.0)
+        return (grad.reshape(shape),)
+
+    return a.tape._append("l2_pool", norms, (a.idx,), vjp)
 
 
 def _row_normalize_fwd(w: np.ndarray):
@@ -485,7 +501,7 @@ class EagerOps:
     rdft_half = staticmethod(_rdft_half)
     irdft_half = staticmethod(_irdft_half)
     reflect = _first(linalg.reflect)
-    maxmin = _first(_maxmin_fwd)
+    maxmin = staticmethod(_maxmin)
     l2_pool = _first(_l2_pool_fwd)
     row_normalize = _first(_row_normalize_fwd)
     slice2d = staticmethod(_slice2d)

@@ -1,5 +1,7 @@
 """Benchmark harness: result plumbing and transform-kernel correctness."""
 
+import time
+
 import numpy as np
 import pytest
 
@@ -113,6 +115,21 @@ def test_small_rank_sweep_monotone():
     assert all(r.alloc_elements > 0 for r in sweep)
 
 
+@pytest.fixture(scope="module")
+def warm_blas():
+    """About 1 s of GEMMs before the first timed sweep.
+
+    On a host that has idled, the first second or so of BLAS work runs
+    paced: a fresh process read a 32 ms median at m = 128, n = 64 against
+    1.5 ms on every later run, which breaks the ordinal check.
+    """
+    a = np.random.default_rng(0).standard_normal((256, 256))
+    stop = time.perf_counter() + 1.0
+    while time.perf_counter() < stop:
+        a @ a
+
+
+@pytest.mark.usefixtures("warm_blas")
 @pytest.mark.parametrize("m", [128, 256])
 def test_dense_rank_scaling_monotone(m):
     res = [bench_dense("bro", m, n, reps=30, seed=0)
