@@ -16,18 +16,15 @@ from .checkpoint import load_checkpoint, save_checkpoint
 from .data import toy_dataset
 from .errors import (ContractError, DivergedError, FormatError, ShapeError,
                      SingularParameter)
-from .fft import fft2d, ifft2d
-from .linalg import hermitian_solve
 from .losses import (LossConfig, LossResult, ce_cr_loss, la_loss, loss_curves,
                      ramp_loss)
 from .models import (LayerSpec, Network, bronet_mini, build_model,
                      lipconvnet_mini)
 from .ortho import (BroConvKernel, BroParam, ConvGeometry, bro_conv_forward,
-                    bro_orthogonalize, cayley_orthogonalize, identity_residual,
-                    lot_orthogonalize, materialize_conv_matrix,
-                    semi_ortho_truncate)
-from .tape import Tape, Var, grad_check, tape_backward
-from .tensor import CTensor, Tensor, alloc_stats, reset_alloc_stats
+                    bro_orthogonalize, cayley_orthogonalize, lot_orthogonalize,
+                    materialize_conv_matrix)
+from .tape import Tape, Var, grad_check
+from .tensor import Tensor, alloc_stats, reset_alloc_stats
 from .train import TrainConfig, TrainLog, evaluate, pgd_attack, train
 
 __version__ = "0.1.0"

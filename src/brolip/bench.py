@@ -3,8 +3,9 @@
 Each case times the parameter transform: unconstrained parameter to
 orthogonal operator, per spatial frequency for convolutions. Timing uses the
 monotonic performance counter with median-of-repetitions against noise;
-min/max are retained. "Memory" is reported as the op-layer allocation
-counters rather than OS-level usage, which is not meaningful at desk scale.
+min/max are retained. "Memory" is reported as the `record_alloc` counters
+(see `tensor`), a partial count of the arrays the op layer hands out,
+rather than OS-level usage, which is not meaningful at desk scale.
 """
 
 from __future__ import annotations

@@ -65,17 +65,24 @@ def load_checkpoint(path) -> Network:
         input_shape = tuple(header["input_shape"])
         seed = header["seed"]
         manifest = header["params"]
-    except (KeyError, TypeError) as exc:
+    except (KeyError, TypeError, ValueError) as exc:
         raise FormatError(f"incomplete checkpoint header: {exc}") from exc
-
-    net = build_model(specs, seed, input_shape)
+    try:
+        net = build_model(specs, seed, input_shape)
+    except (TypeError, ValueError) as exc:  # a bad seed, or a spec build_model rejects
+        raise FormatError(f"checkpoint layer specs do not build a model: {exc}") from exc
     params = net.parameters()
-    if len(params) != len(manifest):
+    if not isinstance(manifest, list) or len(params) != len(manifest):
         raise FormatError("parameter manifest does not match architecture")
     offset = start + hlen
-    for (i, name, arr), entry in zip(params, manifest):
-        mi, mname, mshape = entry
-        if mi != i or mname != name or tuple(mshape) != arr.shape:
+    for k, ((i, name, arr), entry) in enumerate(zip(params, manifest)):
+        try:
+            mi, mname, mshape = entry
+            mshape = tuple(mshape)
+        except (TypeError, ValueError) as exc:
+            raise FormatError(f"manifest entry {k} {entry!r} is not "
+                              f"[layer, name, shape]: {exc}") from exc
+        if mi != i or mname != name or mshape != arr.shape:
             raise FormatError(f"manifest entry {entry} does not match {name}@{i}")
         nbytes = arr.size * 8
         if offset + nbytes > len(raw):

@@ -1,16 +1,17 @@
 """Unitary 2D discrete Fourier transforms.
 
-`fft2`/`ifft2` are numpy's pocketfft with the unitary ("ortho")
-normalization 1/s per axis, so transforms preserve the l2 norm exactly in
-exact arithmetic; they serve as the independent oracle of the cached
-matrix forms below. `half_plane` holds the cached index tables of the
-conjugate pairing f <-> -f that lets real-signal spectra be kept at half
-the frequencies. `tap_dft` and `half_tap_dft` are the DFT as a matrix on
-a kernel's k x k taps, `half_tap_pairs` the products of its entries that
-turn the taps' pairwise products into each frequency's Gram, and
-`real_half` the real GEMM tables that take a real p x p signal to its
-half-plane spectrum and back. Each table is built once per grid
-(`functools.cache`) and made read-only, since every caller shares it.
+`fft2`/`ifft2` are numpy's pocketfft on ndarrays with the unitary
+("ortho") normalization 1/s per axis, so transforms preserve the l2 norm
+exactly in exact arithmetic. No model path calls them: they are the
+independent oracle of the cached matrix forms below. `half_plane` holds
+the cached index tables of the conjugate pairing f <-> -f that lets
+real-signal spectra be kept at half the frequencies. `tap_dft` and
+`half_tap_dft` are the DFT as a matrix on a kernel's k x k taps,
+`half_tap_pairs` the products of its entries that turn the taps' pairwise
+products into each frequency's Gram, and `real_half` the real GEMM tables
+that take a real p x p signal to its half-plane spectrum and back. Each
+table is built once per grid (`functools.cache`) and made read-only, since
+every caller shares it.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from typing import NamedTuple
 import numpy as np
 
 from .errors import ShapeError
-from .tensor import CTensor, Tensor, as_complex_array, as_real_array, record_alloc
+from .tensor import record_alloc
 
 
 def _read_only(tables):
@@ -187,30 +188,3 @@ def ifft2(a: np.ndarray) -> np.ndarray:
     out = np.fft.ifft2(a, axes=(-2, -1), norm="ortho")
     record_alloc(out.size)
     return out
-
-
-def fft2d(x) -> CTensor:
-    """Unitary 2D DFT of a real tensor, applied to each leading slice."""
-    arr = as_real_array(x)
-    return CTensor(fft2(arr))
-
-
-def ifft2d(x) -> CTensor:
-    """Unitary inverse 2D DFT of a complex tensor."""
-    arr = as_complex_array(x)
-    return CTensor(ifft2(arr))
-
-
-def ifft2d_real(x, imag_tol: float | None = None) -> Tensor:
-    """Inverse transform expected to land on a real tensor.
-
-    When `imag_tol` is given, the discarded imaginary magnitude is checked
-    against it.
-    """
-    arr = ifft2(as_complex_array(x))
-    if imag_tol is not None:
-        worst = float(np.max(np.abs(arr.imag))) if arr.size else 0.0
-        if worst > imag_tol:
-            raise ShapeError(
-                f"imaginary residue {worst:.3e} exceeds tolerance {imag_tol:.1e}")
-    return Tensor(arr.real)

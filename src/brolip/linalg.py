@@ -22,8 +22,11 @@ spectrum (`gram_factor_taps`): one c-deep product of the taps with
 themselves, real for a real kernel, then one GEMM with the cached tap-pair
 weights of the frequencies.
 
-All routines accept a stack of matrices (leading batch axes) and work for
-float64 and complex128 alike; `np.conj` on real data is the identity.
+All routines take and return ndarrays, accept a stack of matrices
+(leading batch axes) and work for float64 and complex128 alike; `np.conj`
+on real data is the identity. `solve_hpd` is the general Hermitian
+positive-definite solve (Cholesky, then both substitutions); its callers
+pass Hermitian matrices by construction, so it checks no symmetry.
 Substitution is blocked so the heavy lifting happens in large batched
 matmuls; within a diagonal block it runs row by row.
 """
@@ -32,9 +35,9 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ContractError, DivergedError, ShapeError, SingularParameter
+from .errors import DivergedError, ShapeError, SingularParameter
 from .fft import half_tap_pairs
-from .tensor import CTensor, as_complex_array, record_alloc
+from .tensor import record_alloc
 
 PIVOT_REL_TOL = 1e-12
 _BLOCK = 48
@@ -226,31 +229,6 @@ def reflect(v: np.ndarray, factor: np.ndarray, x: np.ndarray
     s = solve_lower(factor, s)  # rebinding frees V^H x before the second solve
     s = solve_upper_conj(factor, s)
     return x - 2.0 * (v @ s), (None, s)
-
-
-def hermitian_deviation(a: np.ndarray) -> float:
-    ah = _conj_t(a)
-    return float(np.max(np.abs(a - ah))) if a.size else 0.0
-
-
-def hermitian_solve(a, b, herm_tol: float = 1e-10) -> CTensor:
-    """Solve a X = b where a is an n x n Hermitian positive-definite CTensor.
-
-    The deviation from Hermitian symmetry must stay within `herm_tol`
-    (scaled by the magnitude of a). Non-positive pivots raise
-    SingularParameter with the pivot index and a condition estimate.
-    """
-    a_arr = as_complex_array(a)
-    b_arr = as_complex_array(b)
-    if a_arr.ndim != 2 or a_arr.shape[0] != a_arr.shape[1]:
-        raise ShapeError(f"coefficient matrix must be square 2D, got {a_arr.shape}")
-    if b_arr.ndim != 2 or b_arr.shape[0] != a_arr.shape[0]:
-        raise ShapeError(
-            f"rhs shape {b_arr.shape} incompatible with matrix {a_arr.shape}")
-    scale = max(1.0, float(np.max(np.abs(a_arr))) if a_arr.size else 0.0)
-    if hermitian_deviation(a_arr) > herm_tol * scale:
-        raise ContractError("matrix is not Hermitian within tolerance")
-    return CTensor(solve_hpd(a_arr, b_arr))
 
 
 def eigvals_sym(w: np.ndarray) -> np.ndarray:

@@ -390,7 +390,8 @@ def build_model(specs, seed: int, input_shape=None) -> Network:
 
     Reflector parameters draw i.i.d. Gaussians at scale 1/sqrt(width); no
     iteration has to converge, so no special initialization is needed.
-    Geometry is validated by walking shapes through the stack.
+    Geometry is validated by walking shapes through the stack. A missing or
+    mistyped spec argument raises `ContractError` naming the layer.
     """
     specs = list(specs)
     if not specs:
@@ -408,8 +409,12 @@ def build_model(specs, seed: int, input_shape=None) -> Network:
     rng = np.random.default_rng(seed)
     layers = []
     shape = tuple(input_shape)
-    for spec in specs:
-        layer, shape = _make_layer(spec, shape, rng)
+    for i, spec in enumerate(specs):
+        try:
+            layer, shape = _make_layer(spec, shape, rng)
+        except (KeyError, TypeError) as exc:
+            raise ContractError(f"layer {i} ({spec.kind}) has a missing or mistyped "
+                                f"argument in {spec.args}: {exc!r}") from exc
         layers.append(layer)
     return Network(specs, layers, input_shape, seed)
 

@@ -84,14 +84,12 @@ class BroParam:
 class BroConvKernel:
     """Unconstrained kernel of an orthogonal circular convolution.
 
-    v has shape (c, n, k, k) with rank n <= c and odd kernel size k.
-    `alpha` and `depth_norm` parameterize the identity residual
-    re-parameterization V <- I + (alpha / depth_norm) V used by deep stacks.
+    v has shape (c, n, k, k) with rank n <= c and odd kernel size k. The
+    kernel is used as given; the identity residual I + (alpha / depth_norm) V
+    of deep stacks belongs to the layer (`models.BroConvLayer`).
     """
 
     v: np.ndarray
-    alpha: float = 1.0
-    depth_norm: float = 1.0
 
     def __post_init__(self):
         self.v = as_real_array(self.v)
@@ -102,8 +100,6 @@ class BroConvKernel:
             raise ContractError(f"rank n={n} must not exceed channels c={c}")
         if k % 2 == 0:
             raise ContractError(f"kernel size must be odd, got k={k}")
-        if not self.depth_norm > 0:
-            raise ContractError("depth_norm must be positive")
 
     @property
     def channels(self) -> int:
@@ -167,12 +163,6 @@ def identity_kernel(c: int, n: int, k: int) -> np.ndarray:
     for i in range(min(c, n)):
         out[i, i, center, center] = 1.0
     return out
-
-
-def identity_residual(kernel: BroConvKernel) -> Tensor:
-    """Effective parameter I + (alpha / depth_norm) V, built eagerly."""
-    ik = identity_kernel(kernel.channels, kernel.rank, kernel.ksize)
-    return Tensor(ik + (kernel.alpha / kernel.depth_norm) * kernel.v)
 
 
 class ConvOperator(NamedTuple):
@@ -327,8 +317,7 @@ def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
     """Apply the orthogonal convolution parameterized by `kernel.v`.
 
     Accepts a single (c, s, s) input or a batch (B, c, s, s). The kernel is
-    used as given; the identity residual re-parameterization is a separate,
-    explicit step.
+    used as given.
     """
     arr = as_real_array(x)
     single = arr.ndim == 3
@@ -338,7 +327,7 @@ def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
         raise ShapeError(f"input must be (c, s, s) or (B, c, s, s), got {arr.shape}")
     if geom.channels_in != geom.channels_out:
         raise ContractError("convolution path is dimension-preserving; "
-                            "use semi-orthogonal truncation for channel changes")
+                            "use a semi-orthogonal layer for channel changes")
     if arr.shape[1] != kernel.channels or arr.shape[1] != geom.channels_in:
         raise ShapeError(
             f"channel mismatch: input {arr.shape[1]}, kernel {kernel.channels}, "
@@ -347,25 +336,6 @@ def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
         raise ShapeError("geometry does not match input or kernel")
     out = conv_apply(EagerOps, kernel.v, arr, geom)
     return Tensor(out[0] if single else out)
-
-
-def semi_ortho_truncate(w, c_out: int, c_in: int, ortho_tol: float = 1e-8) -> Tensor:
-    """Truncate a c x c orthogonal matrix to its leading c_out x c_in block.
-
-    Expanding blocks (c_in < c_out) keep orthonormal columns and preserve
-    norms; reducing blocks keep orthonormal rows and never expand norms.
-    """
-    w = as_real_array(w)
-    if w.ndim != 2 or w.shape[0] != w.shape[1]:
-        raise ShapeError(f"expected a square matrix, got {w.shape}")
-    c = w.shape[0]
-    if max(c_out, c_in) != c:
-        raise ContractError(
-            f"max(c_out, c_in) = {max(c_out, c_in)} must equal matrix size {c}")
-    dev = np.linalg.norm(w.T @ w - np.eye(c))
-    if dev > ortho_tol:
-        raise ContractError(f"matrix fails orthogonality check ({dev:.3e})")
-    return Tensor(w[:c_out, :c_in])
 
 
 def cayley_transform(v: np.ndarray) -> np.ndarray:

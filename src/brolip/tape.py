@@ -41,7 +41,7 @@ import numpy as np
 
 from . import fft, linalg
 from .errors import ContractError
-from .tensor import Tensor, record_alloc
+from .tensor import record_alloc
 
 
 @dataclass(frozen=True)
@@ -129,14 +129,6 @@ class Tape:
                 else:
                     grads[j] = gj
         return leaf_grads
-
-
-def tape_backward(t: Tape, output_node: Var) -> dict[int, Tensor]:
-    """Gradient of a scalar output with respect to every leaf on the tape."""
-    if output_node.value.shape != ():
-        raise ContractError("output node must be scalar-valued")
-    raw = t.backward(output_node)
-    return {idx: Tensor(np.real(g)) for idx, g in raw.items()}
 
 
 # ---------------------------------------------------------------------------

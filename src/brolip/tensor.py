@@ -1,9 +1,13 @@
-"""Dense real and complex tensor value types.
+"""The real value type `Tensor`, array coercion, and the allocation counters.
 
-Everything in the library computes on float64/complex128 numpy arrays;
-`Tensor` and `CTensor` are the thin value types used at API boundaries.
-They normalize input to contiguous row-major storage and feed the
-allocation counters consumed by the benchmark harness.
+Everything in the library computes on float64/complex128 numpy arrays.
+`Tensor` wraps the contiguous float64 array that the public forward calls
+(`bro_conv_forward`, the dense orthogonalizers) return in `.array`.
+`as_real_array` coerces every array-like input at the API boundary and
+rejects complex input rather than dropping its imaginary part. The
+allocation counters tally `Tensor` construction and the sites that call
+`record_alloc` (`fft2`/`ifft2`, `cholesky`, the triangular solves and each
+tape node); `brolip bench` and the benchmark harness read them.
 """
 
 from __future__ import annotations
@@ -12,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ContractError, ShapeError
+from .errors import ContractError
 
 
 @dataclass
@@ -52,16 +56,22 @@ def _contiguous(arr: np.ndarray, dtype) -> np.ndarray:
 
 
 def as_real_array(x) -> np.ndarray:
-    """Coerce a Tensor or array-like to a contiguous float64 ndarray."""
+    """Coerce a Tensor or real array-like to a contiguous float64 ndarray.
+
+    Complex input raises `ContractError` instead of losing its imaginary part.
+    """
     if isinstance(x, Tensor):
         return x.array
-    return _contiguous(x, np.float64)
+    arr = np.asarray(x)
+    if np.iscomplexobj(arr):
+        raise ContractError(f"expected real input, got dtype {arr.dtype}; "
+                            "casting would drop the imaginary part")
+    return _contiguous(arr, np.float64)
 
 
+# kept as a benchmark tracer target (perfbench/tracer.py TARGETS)
 def as_complex_array(x) -> np.ndarray:
-    """Coerce a CTensor, Tensor, or array-like to a complex128 ndarray."""
-    if isinstance(x, CTensor):
-        return x.array
+    """Coerce a Tensor or array-like to a contiguous complex128 ndarray."""
     if isinstance(x, Tensor):
         return x.array.astype(np.complex128)
     return _contiguous(x, np.complex128)
@@ -73,66 +83,13 @@ class Tensor:
     __slots__ = ("array",)
 
     def __init__(self, values):
-        arr = _contiguous(values, np.float64)
+        arr = as_real_array(values)
         record_alloc(arr.size)
         self.array = arr
-
-    @classmethod
-    def zeros(cls, shape) -> "Tensor":
-        return cls(np.zeros(shape, dtype=np.float64))
 
     @property
     def shape(self) -> tuple[int, ...]:
         return self.array.shape
-
-    @property
-    def data(self) -> np.ndarray:
-        """Flat row-major view of the entries."""
-        return self.array.reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array))
-
-    def check_finite(self) -> "Tensor":
-        if not np.all(np.isfinite(self.array)):
-            raise ContractError("tensor contains non-finite entries")
-        return self
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.shape})"
-
-
-class CTensor:
-    """Complex tensor stored as complex128; `re`/`im` expose flat parts."""
-
-    __slots__ = ("array",)
-
-    def __init__(self, values, im=None):
-        if im is not None:
-            re_arr = _contiguous(values, np.float64)
-            im_arr = _contiguous(im, np.float64)
-            if re_arr.shape != im_arr.shape:
-                raise ShapeError("re and im parts must have identical shapes")
-            arr = re_arr + 1j * im_arr
-        else:
-            arr = _contiguous(values, np.complex128)
-        record_alloc(arr.size)
-        self.array = arr
-
-    @property
-    def shape(self) -> tuple[int, ...]:
-        return self.array.shape
-
-    @property
-    def re(self) -> np.ndarray:
-        return np.ascontiguousarray(self.array.real).reshape(-1)
-
-    @property
-    def im(self) -> np.ndarray:
-        return np.ascontiguousarray(self.array.imag).reshape(-1)
-
-    def norm(self) -> float:
-        return float(np.linalg.norm(self.array))
-
-    def __repr__(self) -> str:
-        return f"CTensor(shape={self.shape})"

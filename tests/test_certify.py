@@ -179,6 +179,11 @@ class TestReportAssembly:
         rep = build_report(z, [0], 1.0, head_rows=rows)
         assert rep.records[0].radius == pytest.approx(1 / math.sqrt(2))
 
+    def test_complex_logits_rejected(self):
+        z = np.array([[2.0, 0.0], [0.0, 3.0 + 1e-3j]])
+        with pytest.raises(ContractError, match="complex128"):
+            build_report(z, [0, 1], 1.0)
+
     def test_invariant_enforced(self):
         with pytest.raises(ContractError):
             CertificationReport([SampleRecord(0, 1, -1.0, 0.5)], 1.0)

@@ -1,5 +1,6 @@
 """Checkpoint format: bit-exact round trips and corruption handling."""
 
+import json
 import struct
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from brolip.certify import build_report
 from brolip.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from brolip.cli import main
 from brolip.data import toy_dataset
 from brolip.errors import FormatError
 from brolip.models import build_model, lipconvnet_mini
@@ -102,3 +104,60 @@ def test_non_finite_blob_rejected_with_parameter_name(tmp_path):
     i, name, _ = net.parameters()[-1]
     with pytest.raises(FormatError, match=f"non-finite.*{name}@{i}"):
         load_checkpoint(bad)
+
+
+def _with_header(tmp_path, edit):
+    """A fresh lipconvnet checkpoint whose JSON header `edit` has changed in place."""
+    path = tmp_path / "model.ckpt"
+    save_checkpoint(build_model(lipconvnet_mini(channels=2, spatial=4, classes=2), seed=3),
+                    path)
+    raw = path.read_bytes()
+    start = len(MAGIC) + 12
+    (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC) + 4)
+    header = json.loads(raw[start:start + hlen])
+    edit(header)
+    text = json.dumps(header).encode("utf-8")
+    bad = tmp_path / "bad.ckpt"
+    bad.write_bytes(raw[:len(MAGIC) + 4] + struct.pack("<Q", len(text)) + text
+                    + raw[start + hlen:])
+    return bad
+
+
+def _drop_spec_argument(header):
+    del header["layer_specs"][0]["args"]["c"]
+
+
+def _unknown_kind(header):
+    header["layer_specs"][1]["kind"] = "conv1x1"
+
+
+def _short_manifest_entry(header):
+    header["params"][1] = header["params"][1][:2]
+
+
+def _scalar_manifest_shape(header):
+    header["params"][0][2] = 5
+
+
+def _text_seed(header):
+    header["seed"] = "seven"
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_drop_spec_argument, r"layer 0 \(bro_conv\).*'c'"),
+    (_unknown_kind, "conv1x1"),
+    (_short_manifest_entry, r"manifest entry 1 \[2, 'v'\]"),
+    (_scalar_manifest_shape, r"manifest entry 0 \[0, 'v', 5\]"),
+    (_text_seed, "seven"),
+], ids=["missing_argument", "unknown_kind", "short_manifest_entry", "scalar_shape",
+        "text_seed"])
+def test_wrong_header_fields_raise_format_error_naming_the_entry(tmp_path, edit, named):
+    with pytest.raises(FormatError, match=named):
+        load_checkpoint(_with_header(tmp_path, edit))
+
+
+def test_certify_exits_2_on_a_wrong_header(tmp_path, capsys):
+    bad = _with_header(tmp_path, _drop_spec_argument)
+    rc = main(["certify", "--ckpt", str(bad), "--out", str(tmp_path / "report.txt")])
+    assert rc == 2
+    assert "cannot load checkpoint" in capsys.readouterr().err

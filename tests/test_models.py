@@ -99,6 +99,13 @@ class TestBuildModel:
         net = build_model(lipconvnet_mini(channels=2, spatial=4, classes=2), seed=1)
         assert np.all(net.forward(np.zeros((1, 2, 4, 4))) == 0.0)
 
+    def test_complex_input_rejected(self):
+        net = build_model(lipconvnet_mini(channels=2, spatial=4, classes=2), seed=1)
+        x = np.ones((1, 2, 4, 4), dtype=np.complex64)
+        x[0, 1, 2, 3] += 1e-3j
+        with pytest.raises(ContractError, match="complex64"):
+            net.forward(x)
+
     def test_geometry_mismatch_rejected(self):
         specs = [
             LayerSpec("bro_conv", {"c": 2, "n": 1, "k": 3, "s": 4}),
@@ -115,6 +122,13 @@ class TestBuildModel:
     def test_unknown_kind_rejected(self):
         with pytest.raises(ContractError):
             build_model([LayerSpec("conv1x1", {})], seed=0, input_shape=(4,))
+
+    @pytest.mark.parametrize("args, cause", [
+        ({"classes": 2}, "KeyError"), ({"classes": 2, "d_in": "4"}, "TypeError")])
+    def test_missing_or_mistyped_argument_names_the_layer(self, args, cause):
+        specs = [LayerSpec("bro_dense", {"m": 4, "n": 1}), LayerSpec("lln_head", args)]
+        with pytest.raises(ContractError, match=f"layer 1 \\(lln_head\\).*{cause}"):
+            build_model(specs, seed=0)
 
     def test_bronet_mini_assembles(self):
         net = build_model(bronet_mini(channels=2, spatial=4, classes=2), seed=2)

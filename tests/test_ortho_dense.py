@@ -5,10 +5,11 @@ import pytest
 
 from brolip.errors import ContractError, DivergedError, SingularParameter
 from brolip.linalg import eigvals_sym
-from brolip.ortho import (BroParam, block_reflector, bro_orthogonalize,
-                          cayley_orthogonalize, identity_kernel,
-                          identity_residual, lot_orthogonalize,
-                          semi_ortho_truncate, BroConvKernel)
+from brolip.models import BroConvLayer, SemiOrthoLayer
+from brolip.ortho import (BroParam, ConvGeometry, block_reflector, bro_orthogonalize,
+                          cayley_orthogonalize, identity_kernel, lot_orthogonalize,
+                          BroConvKernel)
+from brolip.tape import EagerOps
 
 # Kaiming-scale draws (m = 64) where the Newton iteration is still far from
 # orthogonal after 50 steps; found by sweeping seeds, then pinned.
@@ -19,6 +20,11 @@ class TestBlockReflector:
     def test_axis_reflection(self):
         w = bro_orthogonalize(BroParam(np.array([[1.0], [0.0], [0.0]]))).array
         np.testing.assert_allclose(w, np.diag([-1.0, 1.0, 1.0]), atol=1e-14)
+
+    def test_complex_parameter_rejected(self):
+        # casting would drop the imaginary part and build a different reflector
+        with pytest.raises(ContractError, match="complex128"):
+            BroParam(np.array([[1.0], [1e-3j], [0.0]]))
 
     def test_square_full_rank_degenerates_to_negative_identity(self):
         v = np.random.default_rng(0).standard_normal((5, 5))
@@ -113,17 +119,23 @@ class TestNewtonOrthogonalization:
 
 
 class TestSemiOrthogonal:
-    def _ortho(self, c, seed):
+    # the layer applies its prepared operator, the transposed c_out x c_in
+    # block of the reflector of v, as x @ operator
+    def _layer(self, c, c_out, c_in, seed):
         rng = np.random.default_rng(seed)
-        return bro_orthogonalize(BroParam(rng.standard_normal((c, c // 2)))).array
+        return SemiOrthoLayer(rng.standard_normal((c, c // 2)), c_out, c_in)
+
+    def _block(self, c, c_out, c_in, seed):
+        layer = self._layer(c, c_out, c_in, seed)
+        return layer.prepare(EagerOps, layer.params()).T
 
     def test_square_truncation_is_identity_map(self):
-        w = self._ortho(4, 0)
-        np.testing.assert_allclose(semi_ortho_truncate(w, 4, 4).array, w)
+        layer = self._layer(4, 4, 4, 0)
+        np.testing.assert_allclose(layer.prepare(EagerOps, layer.params()).T,
+                                   block_reflector(layer.v))
 
     def test_expanding_preserves_norms(self):
-        w = self._ortho(4, 1)
-        t = semi_ortho_truncate(w, 4, 2).array
+        t = self._block(4, 4, 2, 1)
         assert np.linalg.norm(t.T @ t - np.eye(2)) < 1e-10
         rng = np.random.default_rng(2)
         for trial in range(100):
@@ -131,8 +143,7 @@ class TestSemiOrthogonal:
             assert abs(np.linalg.norm(t @ x) - np.linalg.norm(x)) < 1e-10
 
     def test_reducing_never_expands(self):
-        w = self._ortho(4, 3)
-        t = semi_ortho_truncate(w, 2, 4).array
+        t = self._block(4, 2, 4, 3)
         assert np.linalg.norm(t @ t.T - np.eye(2)) < 1e-10
         rng = np.random.default_rng(4)
         for trial in range(100):
@@ -143,34 +154,35 @@ class TestSemiOrthogonal:
         assert abs(np.linalg.norm(t @ x) - np.linalg.norm(x)) < 1e-10
 
     def test_dimension_mismatch_rejected(self):
-        w = self._ortho(4, 5)
         with pytest.raises(ContractError):
-            semi_ortho_truncate(w, 3, 2)
-
-    def test_non_orthogonal_input_rejected(self):
-        with pytest.raises(ContractError):
-            semi_ortho_truncate(np.ones((3, 3)), 3, 2)
+            self._layer(4, 3, 2, 5)
 
 
 class TestIdentityResidual:
+    # the effective kernel I + (alpha / depth_norm) V that a residual conv
+    # layer trains through
+    def _effective(self, v, alpha, depth_norm):
+        c, _, k, _ = v.shape
+        layer = BroConvLayer(v, alpha, ConvGeometry(c, c, 4, k), residual=True,
+                             depth_norm=depth_norm)
+        return layer.effective(EagerOps, layer.params())
+
     def test_alpha_zero_is_identity_kernel(self):
         rng = np.random.default_rng(0)
-        kern = BroConvKernel(rng.standard_normal((3, 2, 3, 3)),
-                             alpha=0.0, depth_norm=2.0)
-        np.testing.assert_array_equal(identity_residual(kern).array,
-                                      identity_kernel(3, 2, 3))
+        eff = self._effective(rng.standard_normal((3, 2, 3, 3)), 0.0, 2.0)
+        np.testing.assert_array_equal(eff, identity_kernel(3, 2, 3))
 
     def test_alpha_equal_depth_norm_cancels(self):
         rng = np.random.default_rng(1)
         v = rng.standard_normal((2, 1, 3, 3))
-        kern = BroConvKernel(v, alpha=1.7, depth_norm=1.7)
-        np.testing.assert_allclose(identity_residual(kern).array,
-                                   identity_kernel(2, 1, 3) + v, atol=1e-15)
+        eff = self._effective(v, 1.7, 1.7)
+        np.testing.assert_array_equal(eff, identity_kernel(2, 1, 3) + (v * 1.7) * (1.0 / 1.7))
+        np.testing.assert_allclose(eff, identity_kernel(2, 1, 3) + v, atol=1e-15)
 
     def test_alpha_zero_operator_reflects_embedded_block(self):
         # orthogonalizing the identity kernel gives channelwise -1 on the
         # first n channels and +1 on the rest, applied pointwise
-        from brolip.ortho import ConvGeometry, bro_conv_forward
+        from brolip.ortho import bro_conv_forward
         kern = BroConvKernel(identity_kernel(3, 2, 3))
         geom = ConvGeometry(3, 3, 4, 3, keep_padding=False)
         rng = np.random.default_rng(2)

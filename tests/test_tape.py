@@ -10,8 +10,7 @@ from brolip.errors import ContractError
 from brolip.fft import real_half
 from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_custom_scalar,
                          t_l2_pool, t_matmul, t_maxmin, t_mul, t_reflect,
-                         t_row_normalize, t_scale_by, t_slice2d, t_sum,
-                         tape_backward)
+                         t_row_normalize, t_scale_by, t_slice2d, t_sum)
 from tape_helpers import t_conj, t_real
 
 
@@ -19,8 +18,8 @@ def test_square_gradient():
     tape = Tape()
     x = tape.leaf(np.asarray(3.0))
     y = t_mul(x, x)
-    grads = tape_backward(tape, y)
-    assert grads[x.idx].array == pytest.approx(6.0)
+    grads = tape.backward(y)
+    assert grads[x.idx] == pytest.approx(6.0)
 
 
 def test_matmul_sum_gradient_is_column_sums():
@@ -58,7 +57,7 @@ def test_non_scalar_output_rejected():
     tape = Tape()
     x = tape.leaf(np.ones((2, 2)))
     with pytest.raises(ContractError):
-        tape_backward(tape, x)
+        tape.backward(x)
 
 
 def test_composite_matches_finite_differences():
