@@ -166,8 +166,6 @@ def rank_sweep(c: int, s: int, k: int, kappas, reps: int, seed: int = 0
     return out
 
 
-def medians_non_decreasing(results, strict: bool = False) -> bool:
+def medians_non_decreasing(results) -> bool:
     meds = [r.median_s for r in results]
-    if strict:
-        return all(b > a for a, b in zip(meds, meds[1:]))
     return all(b >= a for a, b in zip(meds, meds[1:]))

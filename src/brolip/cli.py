@@ -108,7 +108,7 @@ def cmd_bench(args) -> int:
         rows: list[benchmod.BenchResult] = []
         if args.m:
             for method in methods:
-                n = max(1, int(round(args.kappa_list[0] * args.m))) \
+                n = max(1, int(round(args.kappa[0] * args.m))) \
                     if method == "bro" else args.m
                 rows.append(benchmod.bench_dense(method, args.m, n, args.reps,
                                                  iters=args.iters, seed=args.seed))
@@ -121,7 +121,7 @@ def cmd_bench(args) -> int:
                     iters=args.iters, seed=args.seed))
             if "bro" in methods:
                 sweep = benchmod.rank_sweep(args.c, args.s, args.k,
-                                            args.kappa_list, args.reps,
+                                            args.kappa, args.reps,
                                             seed=args.seed)
                 rows.extend(sweep)
                 mono = benchmod.medians_non_decreasing(sweep)
@@ -163,7 +163,7 @@ def cmd_train(args) -> int:
                       batch_size=args.batch_size, learning_rate=args.lr,
                       momentum=args.momentum, schedule=args.schedule,
                       loss=args.loss, loss_cfg=loss_cfg,
-                      radii=tuple(args.radii_list))
+                      radii=tuple(args.radii))
     try:
         log = train(net, (x, y), cfg)
     except DivergedError as exc:
@@ -204,8 +204,7 @@ def cmd_certify(args) -> int:
                        classes=net.classes(), delta=args.delta)
     logits = net.forward(x)
     report = build_report(logits, y, net.backbone_bound(), head_rows=net.head_rows())
-    grid = args.radius_grid_list
-    curve = accuracy_radius_curve(report, grid)
+    curve = accuracy_radius_curve(report, args.radius_grid)
     fracs = [a for _, a in curve]
     if any(b > a + 1e-12 for a, b in zip(fracs, fracs[1:])):
         print("certified-accuracy curve is not non-increasing", file=sys.stderr)
@@ -284,7 +283,7 @@ def build_parser() -> argparse.ArgumentParser:
     bc.add_argument("--c", type=int, default=64)
     bc.add_argument("--s", type=int, default=16)
     bc.add_argument("--k", type=int, default=1)
-    bc.add_argument("--kappa", default="0.125,0.25,0.5,0.75")
+    bc.add_argument("--kappa", type=_floats, default="0.125,0.25,0.5,0.75")
     bc.add_argument("--reps", type=int, default=10)
     bc.add_argument("--iters", type=int, default=10)
     bc.add_argument("--seed", type=int, default=0)
@@ -308,7 +307,7 @@ def build_parser() -> argparse.ArgumentParser:
     tr.add_argument("--schedule", choices=("constant", "cosine"), default="constant")
     tr.add_argument("--seed", type=int, default=0)
     tr.add_argument("--data-seed", type=int, default=1)
-    tr.add_argument("--radii", default="0.1,0.3")
+    tr.add_argument("--radii", type=_floats, default="0.1,0.3")
     tr.add_argument("--T", type=float, default=0.75)
     tr.add_argument("--xi", type=float, default=2.0)
     tr.add_argument("--beta", type=float, default=5.0)
@@ -323,7 +322,7 @@ def build_parser() -> argparse.ArgumentParser:
     ce.add_argument("--n", type=int, default=256)
     ce.add_argument("--data-seed", type=int, default=1)
     ce.add_argument("--delta", type=float, default=6.0)
-    ce.add_argument("--radius-grid", default="0,0.05,0.1,0.2,0.4")
+    ce.add_argument("--radius-grid", type=_floats, default="0,0.05,0.1,0.2,0.4")
     ce.add_argument("--out", required=True)
     ce.set_defaults(func=cmd_certify)
 
@@ -349,12 +348,6 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if hasattr(args, "kappa"):
-        args.kappa_list = _floats(args.kappa)
-    if hasattr(args, "radii"):
-        args.radii_list = _floats(args.radii)
-    if hasattr(args, "radius_grid"):
-        args.radius_grid_list = _floats(args.radius_grid)
     try:
         return args.func(args)
     except ContractError as exc:

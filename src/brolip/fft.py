@@ -9,9 +9,12 @@ real-signal spectra be kept at half the frequencies. `tap_dft` and
 `half_tap_dft` are the DFT as a matrix on a kernel's k x k taps,
 `half_tap_pairs` the products of its entries that turn the taps' pairwise
 products into each frequency's Gram, and `real_half` the real GEMM tables
-that take a real p x p signal to its half-plane spectrum and back. Each
-table is built once per grid (`functools.cache`) and made read-only, since
-every caller shares it.
+that take a real p x p signal to its half-plane spectrum and back.
+`real_window` restricts those tables to the centred s x s window of the
+grid: zero-padding a signal and then transforming it is the transform's
+rows at the signal's pixels, and cropping the inverse is its columns
+there, so a conv needs no pad or crop. Each table is built once per grid
+(`functools.cache`) and made read-only, since every caller shares it.
 """
 
 from __future__ import annotations
@@ -139,6 +142,27 @@ def real_half(p: int) -> RealHalf:
     pixels = [0] if p % 2 else [0, 1, p, p + 1]
     residue = np.ascontiguousarray(dft[np.ix_(self_conjugate, pixels)].real.T)
     return _read_only(RealHalf(forward, inverse, self_conjugate, residue))
+
+
+@functools.cache
+def real_window(p: int, s: int) -> tuple[np.ndarray, np.ndarray]:
+    """`real_half(p)`'s forward rows and inverse columns at the centred s x s window.
+
+    The rows, (s^2, 2m), take a real s x s signal to the half-plane
+    spectrum of its zero-padding to p x p, `x.reshape(-1, s*s) @ forward`;
+    the columns, (2m, s^2), take representative rows to the window of the
+    real inverse. Cached read-only; for s == p they are the `real_half(p)`
+    arrays themselves.
+    """
+    tables = real_half(p)
+    if s == p:
+        return tables.forward, tables.inverse
+    if not 0 < s < p or (p - s) % 2:
+        raise ShapeError(f"no centred {s}x{s} window in a {p}x{p} grid")
+    pixels = np.arange((p - s) // 2, (p + s) // 2)
+    window = (pixels[:, None] * p + pixels).reshape(-1)
+    return _read_only((tables.forward[window],
+                       np.ascontiguousarray(tables.inverse[:, window])))
 
 
 def pixel_residue(rows: np.ndarray, p: int) -> np.ndarray:

@@ -30,21 +30,17 @@ class LossConfig:
     """Knobs shared by the loss family.
 
     temperature and offset shape the softmax; annealing is the exponent on
-    (1 - p_t); cr_weight scales the margin hinge; ramp_width is the margin
-    at which the ramp loss reaches zero.
+    (1 - p_t); cr_weight scales the margin hinge.
     """
 
     temperature: float = 0.75
     offset: float = 2.0
     annealing: float = 5.0
     cr_weight: float = 0.5
-    ramp_width: float = 1.0
 
     def __post_init__(self):
         if not self.temperature > 0:
             raise ContractError("temperature must be positive")
-        if not self.ramp_width > 0:
-            raise ContractError("ramp width must be positive")
         if self.offset < 0 or self.annealing < 0 or self.cr_weight < 0:
             raise ContractError("offset, annealing, and cr_weight must be >= 0")
 
@@ -160,8 +156,7 @@ def ce_cr_loss_mean(z, t, cfg: LossConfig):
 
 def ce_loss_mean(z, t, cfg: LossConfig | None = None):
     """Plain cross-entropy batch mean (the cr_weight = 0 special case)."""
-    plain = LossConfig(temperature=1.0, offset=0.0, annealing=0.0,
-                       cr_weight=0.0, ramp_width=1.0)
+    plain = LossConfig(temperature=1.0, offset=0.0, annealing=0.0, cr_weight=0.0)
     z = as_real_array(z)
     losses, grads = _ce_cr_batch(z, np.asarray(t), plain)
     return float(np.mean(losses)), grads / z.shape[0]

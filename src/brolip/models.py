@@ -29,8 +29,8 @@ import numpy as np
 from . import linalg
 from .certify import LipschitzModel, compose_lipschitz
 from .errors import ContractError
-from .ortho import (ConvGeometry, ConvOperator, conv_apply, conv_matrix,
-                    conv_matrix_apply, conv_prepare, identity_kernel)
+from .ortho import (BroConvKernel, ConvGeometry, ConvOperator, conv_apply,
+                    conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel)
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
 
@@ -216,6 +216,8 @@ class L2PoolLayer(_Layer):
     kind = "l2_pool"
 
     def __init__(self, patch: int):
+        if patch < 1:
+            raise ContractError(f"l2_pool patch must be at least 1, got p={patch}")
         self.patch = patch
 
     def params(self):
@@ -356,7 +358,7 @@ def _make_layer(spec: LayerSpec, in_shape, rng) -> tuple[object, tuple]:
             raise ContractError(
                 f"declared spatial size {a['s']} does not match input {in_shape}")
         geom = ConvGeometry(c, c, in_shape[1], k, keep_padding=keep)
-        v = rng.standard_normal((c, n, k, k)) / np.sqrt(c)
+        v = BroConvKernel(rng.standard_normal((c, n, k, k)) / np.sqrt(c)).v
         layer = BroConvLayer(v, a.get("alpha", 1.0), geom, residual, depth_norm)
     elif kind == "bro_dense":
         m, n = a["m"], a["n"]
@@ -391,7 +393,9 @@ def build_model(specs, seed: int, input_shape=None) -> Network:
     Reflector parameters draw i.i.d. Gaussians at scale 1/sqrt(width); no
     iteration has to converge, so no special initialization is needed.
     Geometry is validated by walking shapes through the stack. A missing or
-    mistyped spec argument raises `ContractError` naming the layer.
+    mistyped spec argument raises `ContractError` naming the layer, and so
+    does one out of range: a conv kernel breaking `BroConvKernel`'s
+    contract, or an l2_pool patch below 1.
     """
     specs = list(specs)
     if not specs:

@@ -17,7 +17,10 @@ A real kernel and a real input have conjugate-symmetric spectra, so the
 reflector at -f is the conjugate of the one at f: the conv builds and applies
 it only at the half-plane representatives (`fft.HalfPlane`). The input's
 transform to those rows, and the real inverse of the mirrored result, are
-one real GEMM each with the cached `fft.real_half` tables; the output's
+one real GEMM each with the cached `fft.real_window` tables. Those are the
+`fft.real_half` tables of the padded grid at the input's pixels and at the
+output's, so the zero pad and the crop are no separate step: a conv is
+rdft_half, reflect, irdft_half for every k. The output's
 imaginary residue is read from the s0 self-conjugate rows of the output
 spectrum, the only rows the inverse does not pair into a real sum.
 
@@ -84,7 +87,7 @@ class BroParam:
 class BroConvKernel:
     """Unconstrained kernel of an orthogonal circular convolution.
 
-    v has shape (c, n, k, k) with rank n <= c and odd kernel size k. The
+    v has shape (c, n, k, k) with rank 1 <= n <= c and odd kernel size k. The
     kernel is used as given; the identity residual I + (alpha / depth_norm) V
     of deep stacks belongs to the layer (`models.BroConvLayer`).
     """
@@ -96,8 +99,9 @@ class BroConvKernel:
         if self.v.ndim != 4 or self.v.shape[2] != self.v.shape[3]:
             raise ShapeError(f"kernel must be (c, n, k, k), got {self.v.shape}")
         c, n, k, _ = self.v.shape
-        if n > c:
-            raise ContractError(f"rank n={n} must not exceed channels c={c}")
+        if not 1 <= n <= c:
+            raise ContractError(
+                f"rank n={n} must not exceed channels c={c}, nor be below 1")
         if k % 2 == 0:
             raise ContractError(f"kernel size must be odd, got k={k}")
 
@@ -232,17 +236,12 @@ def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
     """The reflector applied to the half-plane spectrum of the padded `x`, (m, c, B)."""
     _require_real("kernel", op.kernel_imag)
     _require_real("input", _imag_max(ops.value(x)))
-    kp = geom.half_pad
-    xp = ops.pad_last2(x, kp, kp) if kp else x
-    return ops.reflect(op.vf, op.factor, ops.rdft_half(xp))
+    return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size))
 
 
 def _image(ops, yf, geom: ConvGeometry):
-    """The real image (B, c, p, p) of a half-plane spectrum, cropped unless kept."""
-    y = ops.irdft_half(yf, geom.padded_size)
-    if not geom.keep_padding and geom.half_pad:
-        y = ops.crop_last2(y, geom.half_pad)
-    return y
+    """The real image of a half-plane spectrum, (B, c, s_out, s_out)."""
+    return ops.irdft_half(yf, geom.padded_size, geom.output_size)
 
 
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):

@@ -10,7 +10,10 @@ Complex cotangents follow the real-pairing convention (d/d re + i d/d im),
 under which the adjoint of a complex-linear map is its conjugate transpose;
 with that convention the same matmul and reflector rules cover both dtypes.
 A real operand of a complex result (matmul, reflect, rdft_half) gets the
-real part. The block reflector is one node, `t_reflect`, with a closed-form
+real part. `rdft_half` takes an unpadded s x s signal and `irdft_half`
+returns a centred window of the p x p image: the zero pad and the crop are
+the rows and columns their tables (`fft.real_window`) keep, so neither is
+a primitive. The block reflector is one node, `t_reflect`, with a closed-form
 adjoint that reuses the forward's Cholesky factor, so no VJP factors, and
 the B = L^{-1} V^H the forward formed, if it did.
 
@@ -75,7 +78,7 @@ class Tape:
 
     def leaf(self, value, requires_grad: bool = True) -> Var:
         arr = np.asarray(value)
-        target = np.complex128 if arr.dtype == np.complex128 else np.float64
+        target = np.complex128 if np.iscomplexobj(arr) else np.float64
         arr = arr.astype(target, copy=False)
         if arr.ndim and not arr.flags["C_CONTIGUOUS"]:
             arr = np.ascontiguousarray(arr)
@@ -203,33 +206,6 @@ def t_reshape(a: Var, shape: tuple[int, ...]) -> Var:
                           lambda g: (np.reshape(g, old),))
 
 
-def _pad_last2(a: np.ndarray, before: int, after: int) -> np.ndarray:
-    # zeros plus a slice assignment: the bits of np.pad at a tenth of its cost
-    rows, cols = a.shape[-2:]
-    out = np.zeros(a.shape[:-2] + (rows + before + after, cols + before + after), a.dtype)
-    out[..., before:before + rows, before:before + cols] = a
-    return out
-
-
-def _crop_last2(a: np.ndarray, border: int) -> np.ndarray:
-    rows, cols = a.shape[-2:]
-    return np.ascontiguousarray(a[..., border:rows - border, border:cols - border])
-
-
-def t_pad_last2(a: Var, before: int, after: int) -> Var:
-    def vjp(g):
-        top = before
-        bot = g.shape[-1] - after
-        return (g[..., top:bot, top:bot],)
-
-    return a.tape._append("pad", _pad_last2(a.value, before, after), (a.idx,), vjp)
-
-
-def t_crop_last2(a: Var, border: int) -> Var:
-    return a.tape._append("crop", _crop_last2(a.value, border), (a.idx,),
-                          lambda g: (_pad_last2(g, border, border),))
-
-
 def _freq_major(flat: np.ndarray, b: int, c: int) -> np.ndarray:
     """(B c, 2m) interleaved float rows -> complex, frequency-major (m, c, B)."""
     return np.ascontiguousarray(
@@ -243,45 +219,49 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
     return rows.view(np.float64).reshape(b * c, 2 * m)
 
 
-def _rdft_half(a: np.ndarray) -> np.ndarray:
-    """Real (B, c, p, p) signal -> its spectrum's representative rows, (m, c, B).
+def _rdft_half(a: np.ndarray, p: int) -> np.ndarray:
+    """Real (B, c, s, s) signal -> the representative rows, (m, c, B), of
+    its zero-padding to the centred window of a p x p grid.
 
-    One real GEMM with the `fft.real_half` forward table, whose float
+    One real GEMM with the `fft.real_window` forward rows, whose float
     product is the complex result viewed in place. `a` must be real-valued.
     """
-    b, c, p, _ = a.shape
-    return _freq_major(a.real.reshape(b * c, p * p) @ fft.real_half(p).forward, b, c)
+    b, c, s, _ = a.shape
+    return _freq_major(a.real.reshape(b * c, s * s) @ fft.real_window(p, s)[0], b, c)
 
 
-def _irdft_half(a: np.ndarray, p: int) -> np.ndarray:
-    """(m, c, B) representative rows -> the real (B, c, p, p) image of their mirror."""
+def _irdft_half(a: np.ndarray, p: int, s: int) -> np.ndarray:
+    """(m, c, B) representative rows -> the centred (B, c, s, s) window of
+    the real p x p image of their mirror."""
     _, c, b = a.shape
-    return (_batch_major(a) @ fft.real_half(p).inverse).reshape(b, c, p, p)
+    return (_batch_major(a) @ fft.real_window(p, s)[1]).reshape(b, c, s, s)
 
 
-def t_rdft_half(a: Var) -> Var:
-    """Half-plane spectrum of a real signal; the VJP is the transposed GEMM.
+def t_rdft_half(a: Var, p: int) -> Var:
+    """Half-plane spectrum of a zero-padded real signal; the VJP is the
+    transposed GEMM with the same rows.
 
     Under the real pairing the interleaved float view of a complex
     cotangent is the cotangent of the float product, so neither adjoint
     needs complex arithmetic.
     """
-    b, c, p, _ = a.value.shape
+    b, c, s, _ = a.value.shape
 
     def vjp(g):
-        return ((_batch_major(g) @ fft.real_half(p).forward.T).reshape(b, c, p, p),)
+        return ((_batch_major(g) @ fft.real_window(p, s)[0].T).reshape(b, c, s, s),)
 
-    return a.tape._append("rdft_half", _rdft_half(a.value), (a.idx,), vjp)
+    return a.tape._append("rdft_half", _rdft_half(a.value, p), (a.idx,), vjp)
 
 
-def t_irdft_half(a: Var, p: int) -> Var:
-    """Real image of a half-plane spectrum; the VJP is the transposed GEMM."""
+def t_irdft_half(a: Var, p: int, s: int) -> Var:
+    """Window of the real image of a half-plane spectrum; the VJP is the
+    transposed GEMM with the same columns."""
     _, c, b = a.value.shape
 
     def vjp(g):
-        return (_freq_major(g.real.reshape(b * c, p * p) @ fft.real_half(p).inverse.T, b, c),)
+        return (_freq_major(g.real.reshape(b * c, s * s) @ fft.real_window(p, s)[1].T, b, c),)
 
-    return a.tape._append("irdft_half", _irdft_half(a.value, p), (a.idx,), vjp)
+    return a.tape._append("irdft_half", _irdft_half(a.value, p, s), (a.idx,), vjp)
 
 
 def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
@@ -488,8 +468,6 @@ class EagerOps:
     matmul = staticmethod(operator.matmul)
     transpose = staticmethod(np.transpose)
     reshape = staticmethod(np.reshape)
-    pad_last2 = staticmethod(_pad_last2)
-    crop_last2 = staticmethod(_crop_last2)
     rdft_half = staticmethod(_rdft_half)
     irdft_half = staticmethod(_irdft_half)
     reflect = _first(linalg.reflect)
@@ -509,8 +487,6 @@ class TapeOps:
     matmul = staticmethod(t_matmul)
     transpose = staticmethod(t_transpose)
     reshape = staticmethod(t_reshape)
-    pad_last2 = staticmethod(t_pad_last2)
-    crop_last2 = staticmethod(t_crop_last2)
     rdft_half = staticmethod(t_rdft_half)
     irdft_half = staticmethod(t_irdft_half)
     reflect = staticmethod(t_reflect)

@@ -1,6 +1,7 @@
-"""Taped primitives that only the tests use: readouts of complex nodes, and
-the `moveaxis` forms of maxmin and l2_pool that the pair and patch views
-are checked against."""
+"""Taped primitives that only the tests use: readouts of complex nodes, the
+`moveaxis` forms of maxmin and l2_pool that the pair and patch views are
+checked against, and the eager zero pad and crop that the windowed DFT
+tables are checked against."""
 
 import numpy as np
 
@@ -16,6 +17,18 @@ def t_conj(a: Var) -> Var:
 def t_real(a: Var) -> Var:
     return a.tape._append("real", np.ascontiguousarray(a.value.real), (a.idx,),
                           lambda g: (g.astype(np.complex128),))
+
+
+def pad_last2(a: np.ndarray, before: int, after: int) -> np.ndarray:
+    rows, cols = a.shape[-2:]
+    out = np.zeros(a.shape[:-2] + (rows + before + after, cols + before + after), a.dtype)
+    out[..., before:before + rows, before:before + cols] = a
+    return out
+
+
+def crop_last2(a: np.ndarray, border: int) -> np.ndarray:
+    rows, cols = a.shape[-2:]
+    return np.ascontiguousarray(a[..., border:rows - border, border:cols - border])
 
 
 def maxmin_reference(a: np.ndarray, axis: int):

@@ -11,7 +11,7 @@ from brolip.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from brolip.cli import main
 from brolip.data import toy_dataset
 from brolip.errors import FormatError
-from brolip.models import build_model, lipconvnet_mini
+from brolip.models import bronet_mini, build_model, lipconvnet_mini
 from brolip.train import TrainConfig, train
 
 
@@ -106,11 +106,12 @@ def test_non_finite_blob_rejected_with_parameter_name(tmp_path):
         load_checkpoint(bad)
 
 
-def _with_header(tmp_path, edit):
-    """A fresh lipconvnet checkpoint whose JSON header `edit` has changed in place."""
+def _with_header(tmp_path, edit, specs=None):
+    """A fresh checkpoint, lipconvnet unless `specs` is given, whose JSON
+    header `edit` has changed in place."""
     path = tmp_path / "model.ckpt"
-    save_checkpoint(build_model(lipconvnet_mini(channels=2, spatial=4, classes=2), seed=3),
-                    path)
+    specs = specs or lipconvnet_mini(channels=2, spatial=4, classes=2)
+    save_checkpoint(build_model(specs, seed=3), path)
     raw = path.read_bytes()
     start = len(MAGIC) + 12
     (hlen,) = struct.unpack_from("<Q", raw, len(MAGIC) + 4)
@@ -154,6 +155,16 @@ def _text_seed(header):
 def test_wrong_header_fields_raise_format_error_naming_the_entry(tmp_path, edit, named):
     with pytest.raises(FormatError, match=named):
         load_checkpoint(_with_header(tmp_path, edit))
+
+
+def _zero_pool_patch(header):
+    next(s for s in header["layer_specs"] if s["kind"] == "l2_pool")["args"]["p"] = 0
+
+
+def test_out_of_range_spec_integer_raises_format_error(tmp_path):
+    bad = _with_header(tmp_path, _zero_pool_patch, bronet_mini(channels=2, spatial=4))
+    with pytest.raises(FormatError, match="patch must be at least 1"):
+        load_checkpoint(bad)
 
 
 def test_certify_exits_2_on_a_wrong_header(tmp_path, capsys):

@@ -174,6 +174,17 @@ def test_usage_error_exit_code():
     assert info.value.code == 2
 
 
+@pytest.mark.parametrize("argv", [["bench", "--kappa", "abc"],
+                                  ["train", "--radii", "0.1,x"],
+                                  ["certify", "--ckpt", "a.ckpt", "--out", "r.txt",
+                                   "--radius-grid", "0,,y"]])
+def test_malformed_comma_list_is_a_usage_error(argv, capsys):
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert "invalid" in capsys.readouterr().err
+
+
 def test_outputs_deterministic_given_flags(tmp_path):
     outs = []
     for name in ("a.csv", "b.csv"):

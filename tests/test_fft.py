@@ -6,7 +6,7 @@ from hypothesis import given, settings, strategies as st
 
 from brolip.errors import ShapeError
 from brolip.fft import (fft2, half_plane, half_tap_dft, half_tap_pairs, ifft2,
-                        imag_residue, real_half, tap_dft)
+                        imag_residue, real_half, real_window, tap_dft)
 
 
 def dft2_oracle(x):
@@ -143,7 +143,7 @@ def test_half_plane_mirror_rebuilds_a_real_spectrum(p):
 @pytest.mark.parametrize("build, args", [
     (tap_dft, (5, 3)), (tap_dft, (1, 1)), (half_plane, (6,)), (half_plane, (7,)),
     (half_tap_dft, (6, 3)), (half_tap_pairs, (1, 1)), (half_tap_pairs, (7, 5)),
-    (real_half, (1,)), (real_half, (16,))])
+    (real_half, (1,)), (real_half, (16,)), (real_window, (7, 5)), (real_window, (6, 6))])
 def test_grid_tables_are_built_once_and_read_only(build, args):
     tables = build(*args)
     assert build(*args) is tables
@@ -175,6 +175,14 @@ def test_real_half_tables_are_the_half_plane_dft_and_its_real_inverse(p):
     np.testing.assert_allclose((x @ tables.forward) @ tables.inverse, x, rtol=0, atol=1e-14)
     assert tables.self_conjugate.size == (1 if p % 2 else 4)
     assert not any(a.flags.writeable for a in tables)
+
+
+@pytest.mark.parametrize("p", [5, 6])
+def test_full_window_is_the_real_half_tables_themselves(p):
+    forward, inverse = real_window(p, p)
+    assert forward is real_half(p).forward and inverse is real_half(p).inverse
+    with pytest.raises(ShapeError):
+        real_window(p, p - 1)
 
 
 @pytest.mark.parametrize("p", [4, 5, 6, 7, 16])

@@ -113,8 +113,6 @@ class TestAnnealedLoss:
             la_loss(np.zeros(1), 0, LossConfig())
         with pytest.raises(ContractError):
             LossConfig(temperature=0.0)
-        with pytest.raises(ContractError):
-            LossConfig(ramp_width=-1.0)
 
 
 class TestMarginHingeLoss:

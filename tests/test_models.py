@@ -130,6 +130,20 @@ class TestBuildModel:
         with pytest.raises(ContractError, match=f"layer 1 \\(lln_head\\).*{cause}"):
             build_model(specs, seed=0)
 
+    @pytest.mark.parametrize("args, cause", [
+        ({"k": 2}, "kernel size must be odd"), ({"n": 0}, "rank n=0"),
+        ({"n": 3}, "rank n=3 must not exceed channels c=2")],
+        ids=["even_kernel", "zero_rank", "rank_above_channels"])
+    def test_conv_spec_goes_through_the_kernel_contract(self, args, cause):
+        spec = LayerSpec("bro_conv", {"c": 2, "n": 1, "k": 3, "s": 4} | args)
+        with pytest.raises(ContractError, match=cause):
+            build_model([spec], seed=0)
+
+    @pytest.mark.parametrize("p", [0, -2])
+    def test_pool_patch_below_one_is_rejected(self, p):
+        with pytest.raises(ContractError, match=f"p={p}"):
+            build_model([LayerSpec("l2_pool", {"p": p})], seed=0, input_shape=(2, 4, 4))
+
     def test_bronet_mini_assembles(self):
         net = build_model(bronet_mini(channels=2, spatial=4, classes=2), seed=2)
         assert net.lipschitz_model().composed_bound == 1.0

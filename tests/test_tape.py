@@ -14,6 +14,12 @@ from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_custom_scalar,
 from tape_helpers import t_conj, t_real
 
 
+def test_leaf_keeps_any_complex_input_complex():
+    value = Tape().leaf(np.array([1 + 2j], dtype=np.complex64)).value
+    assert value.dtype == np.complex128
+    np.testing.assert_array_equal(value, [1 + 2j])
+
+
 def test_square_gradient():
     tape = Tape()
     x = tape.leaf(np.asarray(3.0))
@@ -291,12 +297,9 @@ def _parity_cases():
                    (_Var(real(2, 3, 4)), _Var(cplx(2, 4, 5)))],
         "transpose": [(_Var(image), (2, 3, 0, 1))],
         "reshape": [(_Var(image), (6, 36))],
-        "pad_last2": [(_Var(image), 1, 1), (_Var(image), 0, 2)],
-        # a transposed view has no contiguous layout to return by accident
-        "crop_last2": [(_Var(a), border) for a in (image, image.transpose(0, 1, 3, 2))
-                       for border in (0, 1, 2)],
-        "rdft_half": [(_Var(image),)],
-        "irdft_half": [(_Var(cplx(m, 3, 2)), p)],
+        # the full p x p grid, and the centred 6 x 6 window of an 8 x 8 one
+        "rdft_half": [(_Var(image), p), (_Var(image), p + 2)],
+        "irdft_half": [(_Var(cplx(m, 3, 2)), p, p), (_Var(cplx(m, 3, 2)), p, p - 2)],
         "reflect": [(_Var(v), linalg.gram_factor(v), _Var(real(5, 7, 4))),
                     (_Var(vc), linalg.gram_factor(vc), _Var(cplx(5, 7, 4)))],
         "maxmin": [(_Var(real(4, 6)), 0), (_Var(real(4, 6)), 1)],
