@@ -7,20 +7,27 @@ truncated reflectors are semi-orthogonal. Layer math is written against
 the twin op backends, so one implementation serves eager inference and
 taped training. Each layer splits into `prepare(ops, params)`, which
 builds its parameter-side operator, and `apply(ops, operator, x)`;
-`forward` is the two in sequence, and an attack on a frozen network
-prepares every operator once and records only `apply`. A conv whose
-kernel takes no gradient (every eager forward, and `Network.prepare`)
-prepares its dense matrix when c s^2 <= `DENSE_CONV_MAX` and applies it as
-one GEMM; a conv being trained, or a larger one, keeps the per-frequency
-operator.
+`forward` is the two in sequence. `Network.prepare` builds every
+operator eagerly and keeps them, with a copy of the parameters, until a
+parameter's value changes: an eager forward applies the kept operators,
+and an attack on a frozen network records only `apply`, so certify,
+evaluate and every PGD call share one prepare per parameter state. A conv
+whose kernel takes no gradient (every eager forward, and
+`Network.prepare`) prepares its dense matrix when c s^2 <=
+`DENSE_CONV_MAX` and applies it as one GEMM; a conv being trained, or a
+larger one, keeps the per-frequency operator.
 
-Inputs are batch-first; dense-style layers flatten image-shaped inputs
-implicitly. There are no bias terms anywhere: they would not change any
-Lipschitz constant but would complicate the margin bookkeeping.
+Activations travel between layers flat, (B, d), from the network's input
+to its logits; `Network` flattens image-shaped inputs once. A layer that
+needs the image shape recorded it at build time and views the flat
+batch through it inside its primitive, so no layer records a reshape.
+There are no bias terms anywhere: they would not change any Lipschitz
+constant but would complicate the margin bookkeeping.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field
 from itertools import takewhile
 
@@ -29,20 +36,25 @@ import numpy as np
 from . import linalg
 from .certify import LipschitzModel, compose_lipschitz
 from .errors import ContractError
-from .ortho import (BroConvKernel, ConvGeometry, ConvOperator, conv_apply,
+from .ortho import (BroConvKernel, BroParam, ConvGeometry, ConvOperator, conv_apply,
                     conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel)
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
 
-# Largest c s^2 at which a frozen conv layer runs as its dense matrix. An
-# eager forward builds the matrix (one spectral conv of batch c s^2) on
-# every call, so it pays only for batches past about c s^2. Per layer, k = 3,
-# one OpenBLAS thread on a 2-core Xeon: at batch 256 (`brolip certify`'s
-# default) the dense forward was faster up to c s^2 = 128 (0.55 against
-# 0.79 ms at c = 2, s = 8) and slower from 256 (3.3 against 2.5 ms at c = 4,
-# s = 8); at 1024 it lost even at batch 2048 (155 against 152 ms at c = 16,
-# s = 8). The switch cannot read the batch: an attack's prepared matrix must
-# match the recorded per-step forward bit for bit, whatever the batch.
+# Largest c s^2 at which a frozen conv layer runs as its dense matrix.
+# `Network.prepare` builds the matrix once per parameter state, so a call
+# pays only the GEMM. Per layer, k = 3, rank 1, one OpenBLAS thread on a
+# 2-vCPU Xeon host (p10 of 30-200 calls, three runs), GEMM against spectral
+# apply: at c s^2 = 128 (c = 2, s = 8) 0.22 against 1.34 ms at batch 256 and
+# 0.006 against 0.06 ms at batch 1; at 256 (c = 4, s = 8) 0.81 against 1.6
+# and 0.015 against 0.065 ms; at 512 (c = 8, s = 8) 2.2-3.0 against 2.4-3.5
+# and 0.06-0.07 against 0.04-0.07 ms. The build costs 0.5, 1.75 and 5.5-7.7
+# ms at those sizes (8.3-11.7 ms at c = 2, s = 16) against 0.06 ms for the
+# spectral operator, so one pass of 256 samples per parameter state,
+# `brolip certify`'s default and only pass, still loses from 256 on (1.75 +
+# 0.81 against 1.65 ms). The switch cannot read the batch: an attack's
+# prepared matrix must match the recorded per-step forward bit for bit,
+# whatever the batch.
 DENSE_CONV_MAX = 128
 
 
@@ -55,10 +67,12 @@ class LayerSpec:
 
 
 def _flatten(ops, x):
+    """A flat batch as it is; an image batch, which only a caller driving a
+    layer directly passes, reshaped to (B, d)."""
     shape = ops.value(x).shape
     if len(shape) == 2:
         return x
-    return ops.reshape(x, (shape[0], int(np.prod(shape[1:]))))
+    return ops.reshape(x, (shape[0], math.prod(shape[1:])))
 
 
 def _reflector(ops, veff, m):
@@ -198,13 +212,19 @@ class SemiOrthoLayer(_Linear):
 
 
 class MaxMinLayer(_Layer):
+    """Sorts channel pairs: on a flat (B, c s^2) image, runs of `run` = s^2
+    entries pair up; after a dense layer `run` is 1."""
+
     kind = "maxmin"
+
+    def __init__(self, run: int):
+        self.run = run
 
     def params(self):
         return {}
 
     def apply(self, ops, operator, x):
-        return ops.maxmin(x, axis=1)
+        return ops.maxmin(x, 1, self.run)
 
     def out_shape(self, shape):
         if shape[0] % 2:
@@ -215,16 +235,17 @@ class MaxMinLayer(_Layer):
 class L2PoolLayer(_Layer):
     kind = "l2_pool"
 
-    def __init__(self, patch: int):
+    def __init__(self, patch: int, spatial: int):
         if patch < 1:
             raise ContractError(f"l2_pool patch must be at least 1, got p={patch}")
         self.patch = patch
+        self.spatial = spatial
 
     def params(self):
         return {}
 
     def apply(self, ops, operator, x):
-        return ops.l2_pool(x, self.patch)
+        return ops.l2_pool(x, self.patch, self.spatial)
 
     def out_shape(self, shape):
         c, s, _ = shape
@@ -253,14 +274,27 @@ class LLNHead(_Linear):
         return (self.w.shape[0],)
 
 
+def _freeze(operator):
+    """A prepared operator with its arrays marked read-only."""
+    for arr in (operator if isinstance(operator, ConvOperator) else (operator,)):
+        if isinstance(arr, np.ndarray):
+            arr.flags.writeable = False
+    return operator
+
+
 class Network:
-    """An ordered layer stack with its specs, seed, and shape bookkeeping."""
+    """An ordered layer stack with its specs, seed, and shape bookkeeping.
+
+    `prepare` keeps the operators it last built, with a copy of the
+    parameters it built them from (`_prepared`).
+    """
 
     def __init__(self, specs, layers, input_shape, seed):
         self.specs = list(specs)
         self.layers = list(layers)
         self.input_shape = tuple(input_shape)
         self.seed = seed
+        self._prepared = None
 
     # -- parameter plumbing -------------------------------------------------
     def parameters(self):
@@ -294,35 +328,55 @@ class Network:
 
     # -- forward passes -----------------------------------------------------
     def _coerce_batch(self, x):
+        """`x` as the flat (B, d) batch every layer takes: a batch of
+        `input_shape` samples, one sample, or a batch already flat."""
         arr = as_real_array(x)
         if arr.ndim == len(self.input_shape):
             arr = arr[None]
-        if arr.shape[1:] != self.input_shape:
-            if arr.ndim == 2 and int(np.prod(self.input_shape)) == arr.shape[1]:
-                arr = arr.reshape((arr.shape[0],) + self.input_shape)
-            else:
-                raise ContractError(
-                    f"input shape {arr.shape[1:]} does not match {self.input_shape}")
-        return arr
+        d = math.prod(self.input_shape)
+        if arr.shape[1:] != self.input_shape and arr.shape[1:] != (d,):
+            raise ContractError(
+                f"input shape {arr.shape[1:]} does not match {self.input_shape}")
+        return arr.reshape(arr.shape[0], d)
 
     def forward(self, x) -> np.ndarray:
-        """Eager batch forward to logits."""
+        """Eager batch forward to logits: each layer applies its operator
+        from `prepare()` to the flat batch."""
         cur = self._coerce_batch(x)
-        for layer in self.layers:
-            cur = layer.forward(EagerOps, layer.params(), cur)
+        for layer, operator in zip(self.layers, self.prepare()):
+            cur = layer.apply(EagerOps, operator, cur)
         return cur
 
-    def prepare(self) -> list:
-        """Every layer's operator, built eagerly from the current parameters."""
-        return [layer.prepare(EagerOps, layer.params()) for layer in self.layers]
+    def prepare(self) -> tuple:
+        """Every layer's operator, built eagerly from the current parameters.
+
+        While every parameter equals (`np.array_equal`) the copy taken at
+        the last build, the operators of that build are returned again,
+        the same objects. Any change of value, such as a training step's
+        in-place update or a direct edit, rebuilds them, and so does a NaN,
+        which equals nothing. The operators' arrays are read-only and share
+        no memory with a parameter.
+        """
+        params = [arr for _, _, arr in self.parameters()]
+        kept = self._prepared
+        if kept is not None and len(kept[0]) == len(params) \
+                and all(map(np.array_equal, kept[0], params)):
+            return kept[1]
+        # drop the stale operators first, so a rebuild never holds two sets
+        self._prepared = kept = None
+        operators = tuple(_freeze(layer.prepare(EagerOps, layer.params()))
+                          for layer in self.layers)
+        self._prepared = ([arr.copy() for arr in params], operators)
+        return operators
 
     def forward_tape(self, tape: Tape, x, frozen=None):
         """Recorded forward; returns (logits, input var, {(i, name): var}).
 
-        Without `frozen`, every parameter is a grad-requiring leaf and the
-        input a constant. `frozen` is a `prepare()` result: the input is
-        then the only grad leaf, the operators enter as constants, the
-        tape records only the input side and the dict is empty.
+        The input enters flat, (B, d), as in `forward`. Without `frozen`,
+        every parameter is a grad-requiring leaf and the input a constant.
+        `frozen` is a `prepare()` result: the input is then the only grad
+        leaf, the operators enter as constants, the tape records only the
+        input side and the dict is empty.
         """
         ops = TapeOps(tape)
         x_var = tape.leaf(self._coerce_batch(x), requires_grad=frozen is not None)
@@ -345,8 +399,15 @@ class Network:
         return cur, x_var, param_vars
 
 
+# spec arguments that count something; none of them may be negative
+_SIZES = ("c", "n", "k", "s", "m", "d_in", "d_out", "p", "classes")
+
+
 def _make_layer(spec: LayerSpec, in_shape, rng) -> tuple[object, tuple]:
     kind, a = spec.kind, spec.args
+    for name in _SIZES:
+        if name in a and a[name] < 0:
+            raise ContractError(f"{name}={a[name]} is negative")
     if kind == "bro_conv":
         c, n, k = a["c"], a["n"], a["k"]
         keep = bool(a.get("keep_padding", False))
@@ -364,7 +425,7 @@ def _make_layer(spec: LayerSpec, in_shape, rng) -> tuple[object, tuple]:
         m, n = a["m"], a["n"]
         residual = bool(a.get("residual", False))
         depth_norm = float(a.get("depth_norm", 1.0))
-        v = rng.standard_normal((m, n)) / np.sqrt(m)
+        v = BroParam(rng.standard_normal((m, n)) / np.sqrt(m)).v
         layer = BroDenseLayer(v, a.get("alpha", 1.0), residual, depth_norm)
     elif kind == "semi_ortho":
         d_in, d_out = a["d_in"], a["d_out"]
@@ -375,9 +436,9 @@ def _make_layer(spec: LayerSpec, in_shape, rng) -> tuple[object, tuple]:
         v = rng.standard_normal((c, n)) / np.sqrt(c)
         layer = SemiOrthoLayer(v, d_out, d_in)
     elif kind == "maxmin":
-        layer = MaxMinLayer()
+        layer = MaxMinLayer(math.prod(in_shape[1:]))
     elif kind == "l2_pool":
-        layer = L2PoolLayer(int(a["p"]))
+        layer = L2PoolLayer(int(a["p"]), in_shape[-1])
     elif kind == "lln_head":
         classes, d_in = a["classes"], a["d_in"]
         w = rng.standard_normal((classes, d_in)) / np.sqrt(d_in)
@@ -394,8 +455,9 @@ def build_model(specs, seed: int, input_shape=None) -> Network:
     iteration has to converge, so no special initialization is needed.
     Geometry is validated by walking shapes through the stack. A missing or
     mistyped spec argument raises `ContractError` naming the layer, and so
-    does one out of range: a conv kernel breaking `BroConvKernel`'s
-    contract, or an l2_pool patch below 1.
+    does one out of range: a negative size, a conv kernel breaking
+    `BroConvKernel`'s contract, a dense rank breaking `BroParam`'s, or an
+    l2_pool patch below 1.
     """
     specs = list(specs)
     if not specs:
@@ -416,9 +478,11 @@ def build_model(specs, seed: int, input_shape=None) -> Network:
     for i, spec in enumerate(specs):
         try:
             layer, shape = _make_layer(spec, shape, rng)
-        except (KeyError, TypeError) as exc:
+        except (LookupError, TypeError) as exc:
             raise ContractError(f"layer {i} ({spec.kind}) has a missing or mistyped "
                                 f"argument in {spec.args}: {exc!r}") from exc
+        except ValueError as exc:  # ContractError among them
+            raise ContractError(f"layer {i} ({spec.kind}) rejects {spec.args}: {exc}") from exc
         layers.append(layer)
     return Network(specs, layers, input_shape, seed)
 

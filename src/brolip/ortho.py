@@ -64,8 +64,9 @@ _MATERIALIZE_CAP = 1024
 class BroParam:
     """Unconstrained m x n parameter of a dense block reflector.
 
-    Requires n < m (a full-rank square V degenerates to -I) and full column
-    rank, which is verified by attempting a Cholesky factorization of V^T V.
+    Requires 1 <= n < m (a full-rank square V degenerates to -I, and no
+    column to the identity) and full column rank, which is verified by
+    attempting a Cholesky factorization of V^T V.
     """
 
     v: np.ndarray
@@ -80,6 +81,8 @@ class BroParam:
         if self.n >= self.m:
             raise ContractError(
                 f"need n < m for a non-degenerate reflector, got {self.m}x{self.n}")
+        if self.n < 1:
+            raise ContractError(f"need at least one column, got {self.m}x{self.n}")
         linalg.gram_factor(self.v)  # full column rank or SingularParameter
 
 
@@ -233,23 +236,27 @@ def _require_real(name: str, worst: float) -> None:
 
 
 def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
-    """The reflector applied to the half-plane spectrum of the padded `x`, (m, c, B)."""
+    """The reflector applied to the half-plane spectrum of the padded `x`,
+    (m, c, B); `x` is (B, c, s, s) or flat (B, c s^2)."""
     _require_real("kernel", op.kernel_imag)
     _require_real("input", _imag_max(ops.value(x)))
-    return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size))
+    return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size, geom.spatial))
 
 
-def _image(ops, yf, geom: ConvGeometry):
-    """The real image of a half-plane spectrum, (B, c, s_out, s_out)."""
-    return ops.irdft_half(yf, geom.padded_size, geom.output_size)
+def _image(ops, yf, geom: ConvGeometry, flat: bool):
+    """The real image of a half-plane spectrum, (B, c, s_out, s_out), or
+    (B, c s_out^2) when `flat`."""
+    return ops.irdft_half(yf, geom.padded_size, geom.output_size, flat)
 
 
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     """Orthogonal circular convolution of a batched input, backend-generic.
 
-    `x` is (B, c, s, s) and `v_eff` is either the kernel (c, n, k, k) or the
-    `ConvOperator` that `conv_prepare` built from it; both are backend
-    values (ndarrays for the eager backend, tape variables when recording).
+    `x` is (B, c, s, s), or flat (B, c s^2), and the output takes its
+    layout: (B, c, s_out, s_out) or (B, c s_out^2). `v_eff` is either the
+    kernel (c, n, k, k) or the `ConvOperator` that `conv_prepare` built from
+    it; both are backend values (ndarrays for the eager backend, tape
+    variables when recording).
     The parameterization is applied per spatial frequency on the channel
     axis, at the half-plane representatives only; the output is the real
     inverse transform of their mirror. Both the kernel and `x` must be real
@@ -267,16 +274,16 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
         raise ContractError(
             f"imaginary residue {worst:.3e} exceeds {tol:.1e}; "
             "parameterization should produce a real output")
-    return _image(ops, yf, geom)
+    return _image(ops, yf, geom, xv.ndim == 2)
 
 
 def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     """The dense (c s^2, c s_out^2) matrix M of a prepared conv: row j is the conv of e_j.
 
     Runs the spectral path of `conv_apply` once, on the identity basis (a
-    batch of c s^2 inputs), so a batch x (B, c, s, s) convolves as
-    reshape(x, (B, c s^2)) @ M. Limited to c s^2 <= 1024. The gate is the
-    basis form of `conv_apply`'s: with R_j the imaginary residue that basis
+    batch of c s^2 inputs), so a flat batch x (B, c s^2) convolves as x @ M.
+    Limited to c s^2 <= 1024. The gate is the basis form of
+    `conv_apply`'s: with R_j the imaginary residue that basis
     input j leaves at each pixel class and channel (through
     `fft.pixel_residue`, whose maximum is `fft.imag_residue`), it requires
     max over class and channel of sum_j |R_j| <= CONV_IMAG_TOL. Since the
@@ -287,7 +294,7 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     dim = c * s * s
     if dim > _MATERIALIZE_CAP:
         raise ContractError(f"size cap exceeded: c*s^2 = {dim} > {_MATERIALIZE_CAP}")
-    basis = ops.constant(np.eye(dim).reshape(dim, c, s, s))
+    basis = ops.constant(np.eye(dim))
     yf = _reflected_spectrum(ops, op, basis, geom)
     residue = pixel_residue(ops.value(yf), geom.padded_size)   # (classes, c, dim)
     bound = float(np.abs(residue).sum(axis=-1).max())
@@ -295,18 +302,22 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
         raise ContractError(
             f"imaginary residue over the basis {bound:.3e} exceeds {CONV_IMAG_TOL:.1e}; "
             "parameterization should produce a real output")
-    return ops.reshape(_image(ops, yf, geom), (dim, -1))
+    return _image(ops, yf, geom, True)
 
 
 def conv_matrix_apply(ops, m, x, geom: ConvGeometry):
-    """The conv whose `conv_matrix` is `m`, applied to a real batch (B, c, s, s).
+    """The conv whose `conv_matrix` is `m`, applied to a real batch.
 
-    One GEMM of the flattened input with `m`, reshaped to the output's
-    (B, c, s_out, s_out); on a tape its input adjoint is the transposed GEMM.
-    A complex input raises `ContractError`, as in `conv_apply`.
+    A flat batch (B, c s^2) is one GEMM with `m`, whose input adjoint on a
+    tape is the transposed GEMM. An image batch (B, c, s, s) is flattened
+    for it and the output reshaped to (B, c, s_out, s_out), as `conv_apply`
+    keeps the input's layout. A complex input raises `ContractError`, as in
+    `conv_apply`.
     """
     xv = ops.value(x)
     _require_real("input", _imag_max(xv))
+    if xv.ndim == 2:
+        return ops.matmul(x, m)
     b, size = xv.shape[0], geom.output_size
     y = ops.matmul(ops.reshape(x, (b, geom.channels_in * geom.spatial ** 2)), m)
     return ops.reshape(y, (b, geom.channels_out, size, size))

@@ -13,14 +13,17 @@ A real operand of a complex result (matmul, reflect, rdft_half) gets the
 real part. `rdft_half` takes an unpadded s x s signal and `irdft_half`
 returns a centred window of the p x p image: the zero pad and the crop are
 the rows and columns their tables (`fft.real_window`) keep, so neither is
-a primitive. The block reflector is one node, `t_reflect`, with a closed-form
-adjoint that reuses the forward's Cholesky factor, so no VJP factors, and
-the B = L^{-1} V^H the forward formed, if it did.
+a primitive. Both work on (B c, s^2) rows, so each also takes or returns a
+flat (B, c s^2) batch, the layout the models use, with no reshape node.
+The block reflector is one node, `t_reflect`, with a closed-form adjoint
+that reuses the forward's Cholesky factor, so no VJP factors, and the
+B = L^{-1} V^H the forward formed, if it did.
 
 The pair and patch ops work on reshape views and move no axis: maxmin sees
-its axis as (size // 2, 2, rest), l2_pool its image as (q, p, q, p)
-patches. maxmin writes max(o, e) into each pair's even slot and min(e, o)
-into its odd one; each ufunc returns its second operand on equal inputs,
+its axis as (size // 2, 2, rest), or a flat image as pairs of runs of s^2
+entries, and l2_pool its image, flat or not, as (q, p, q, p) patches.
+maxmin writes max(o, e) into each pair's even slot and min(e, o) into its
+odd one; each ufunc returns its second operand on equal inputs,
 so a tie keeps its entries in place, signed zeros included, and a NaN
 reaches both slots of its pair. The VJP routes the cotangent through the
 forward's e >= o mask.
@@ -219,41 +222,47 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
     return rows.view(np.float64).reshape(b * c, 2 * m)
 
 
-def _rdft_half(a: np.ndarray, p: int) -> np.ndarray:
-    """Real (B, c, s, s) signal -> the representative rows, (m, c, B), of
-    its zero-padding to the centred window of a p x p grid.
+def _rdft_half(a: np.ndarray, p: int, s: int | None = None) -> np.ndarray:
+    """Real images (B, c, s, s), or flat (B, c s^2) given `s`, -> the
+    representative rows, (m, c, B), of their zero-padding to the centred
+    window of a p x p grid.
 
-    One real GEMM with the `fft.real_window` forward rows, whose float
-    product is the complex result viewed in place. `a` must be real-valued.
+    One real GEMM of the (B c, s^2) rows, a reshape view of either layout,
+    with the `fft.real_window` forward rows, whose float product is the
+    complex result viewed in place. `a` must be real-valued.
     """
-    b, c, s, _ = a.shape
+    b = a.shape[0]
+    s = a.shape[-1] if s is None else s
+    c = math.prod(a.shape[1:]) // (s * s)
     return _freq_major(a.real.reshape(b * c, s * s) @ fft.real_window(p, s)[0], b, c)
 
 
-def _irdft_half(a: np.ndarray, p: int, s: int) -> np.ndarray:
-    """(m, c, B) representative rows -> the centred (B, c, s, s) window of
-    the real p x p image of their mirror."""
+def _irdft_half(a: np.ndarray, p: int, s: int, flat: bool = False) -> np.ndarray:
+    """(m, c, B) representative rows -> the centred s x s window of the real
+    p x p image of their mirror, (B, c, s, s), or (B, c s^2) when `flat`."""
     _, c, b = a.shape
-    return (_batch_major(a) @ fft.real_window(p, s)[1]).reshape(b, c, s, s)
+    rows = _batch_major(a) @ fft.real_window(p, s)[1]
+    return rows.reshape((b, c * s * s) if flat else (b, c, s, s))
 
 
-def t_rdft_half(a: Var, p: int) -> Var:
+def t_rdft_half(a: Var, p: int, s: int | None = None) -> Var:
     """Half-plane spectrum of a zero-padded real signal; the VJP is the
-    transposed GEMM with the same rows.
+    transposed GEMM with the same rows, in the input's layout.
 
     Under the real pairing the interleaved float view of a complex
     cotangent is the cotangent of the float product, so neither adjoint
     needs complex arithmetic.
     """
-    b, c, s, _ = a.value.shape
+    shape = a.value.shape
+    s = shape[-1] if s is None else s
 
     def vjp(g):
-        return ((_batch_major(g) @ fft.real_window(p, s)[0].T).reshape(b, c, s, s),)
+        return ((_batch_major(g) @ fft.real_window(p, s)[0].T).reshape(shape),)
 
-    return a.tape._append("rdft_half", _rdft_half(a.value, p), (a.idx,), vjp)
+    return a.tape._append("rdft_half", _rdft_half(a.value, p, s), (a.idx,), vjp)
 
 
-def t_irdft_half(a: Var, p: int, s: int) -> Var:
+def t_irdft_half(a: Var, p: int, s: int, flat: bool = False) -> Var:
     """Window of the real image of a half-plane spectrum; the VJP is the
     transposed GEMM with the same columns."""
     _, c, b = a.value.shape
@@ -261,7 +270,7 @@ def t_irdft_half(a: Var, p: int, s: int) -> Var:
     def vjp(g):
         return (_freq_major(g.real.reshape(b * c, s * s) @ fft.real_window(p, s)[1].T, b, c),)
 
-    return a.tape._append("irdft_half", _irdft_half(a.value, p, s), (a.idx,), vjp)
+    return a.tape._append("irdft_half", _irdft_half(a.value, p, s, flat), (a.idx,), vjp)
 
 
 def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
@@ -303,24 +312,34 @@ def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
     return v.tape._append("reflect", y, (v.idx, x.idx), vjp)
 
 
-def _pairs(a: np.ndarray, axis: int) -> np.ndarray:
-    """`a` viewed as shape[:axis] + (size // 2, 2, rest).
+def _pairs(a: np.ndarray, axis: int, run: int | None = None) -> np.ndarray:
+    """`a` viewed as shape[:axis] + (pairs, 2, run).
 
-    Entries 2i and 2i + 1 along `axis` meet on the second-to-last axis.
-    `rest` is spelled out so that an empty array still reshapes.
+    Without `run`, entries 2i and 2i + 1 along `axis` meet on the
+    second-to-last axis, and `run` is the size of the axes after it. With
+    `run`, the entries from `axis` on are read flat in runs of `run`, and
+    runs 2i and 2i + 1 meet: a flat (B, c s^2) image with run s^2 pairs its
+    channels as (B, c, s, s) does along axis 1. Every size is spelled out
+    so that an empty array still reshapes.
     """
     shape = a.shape
     lead = shape[:axis]
-    size = shape[axis]
+    tail = shape[len(lead):]
+    if run is None:
+        size, run = tail[0], math.prod(tail[1:])
+    else:
+        size, rest = divmod(math.prod(tail), run)
+        if rest:
+            raise ContractError(f"maxmin runs of {run} do not tile axis {axis}")
     if size % 2:
         raise ContractError(f"maxmin needs an even size along axis {axis}")
-    return a.reshape(lead + (size // 2, 2, math.prod(shape[len(lead) + 1:])))
+    return a.reshape(lead + (size // 2, 2, run))
 
 
-def _maxmin(a: np.ndarray, axis: int) -> np.ndarray:
+def _maxmin(a: np.ndarray, axis: int, run: int | None = None) -> np.ndarray:
     # the operand order is the tie rule: each ufunc returns its second
     # operand on equal inputs, so a tie keeps e even and o odd
-    pairs = _pairs(a, axis)
+    pairs = _pairs(a, axis, run)
     e, o = pairs[..., :1, :], pairs[..., 1:, :]
     out = np.empty(pairs.shape, a.dtype)
     np.maximum(o, e, out=out[..., :1, :])
@@ -328,39 +347,49 @@ def _maxmin(a: np.ndarray, axis: int) -> np.ndarray:
     return out.reshape(a.shape)
 
 
-def t_maxmin(a: Var, axis: int) -> Var:
-    pairs = _pairs(a.value, axis)
+def t_maxmin(a: Var, axis: int, run: int | None = None) -> Var:
+    pairs = _pairs(a.value, axis, run)
     take_e = pairs[..., :1, :] >= pairs[..., 1:, :]
 
     def vjp(g):
-        gp = _pairs(g, axis)
+        gp = _pairs(g, axis, run)
         return (np.where(take_e, gp, gp[..., ::-1, :]).reshape(g.shape),)
 
-    return a.tape._append("maxmin", _maxmin(a.value, axis), (a.idx,), vjp)
+    return a.tape._append("maxmin", _maxmin(a.value, axis, run), (a.idx,), vjp)
 
 
-def _l2_pool_fwd(a: np.ndarray, p: int):
-    s = a.shape[-1]
-    if a.shape[-2] != s or s % p:
+def _l2_pool_fwd(a: np.ndarray, p: int, s: int | None = None):
+    """Patch norms of images (..., s, s) -> (..., q, q), or of flat
+    (B, c s^2) given `s` -> (B, c q^2). Also returns the norms as
+    (..., q, q) and the (..., q, p, q, p) patch view they were summed over."""
+    if s is None:
+        s = a.shape[-1]
+        lead, out = a.shape[:-2], None
+        square = a.shape[-2] == s
+    else:
+        lead = (a.shape[0], math.prod(a.shape[1:]) // (s * s))
+        out = (a.shape[0], math.prod(a.shape[1:]) // (p * p))
+        square = math.prod(lead) * s * s == a.size
+    if not square or s % p:
         raise ContractError(f"l2_pool needs square spatial dims divisible by {p}")
     q = s // p
-    blocks = a.reshape(a.shape[:-2] + (q, p, q, p))
+    blocks = a.reshape(lead + (q, p, q, p))
     norms = np.sqrt(np.sum(blocks * blocks, axis=(-3, -1)))
-    return norms, blocks
+    return (norms if out is None else norms.reshape(out)), norms, blocks
 
 
-def t_l2_pool(a: Var, p: int) -> Var:
-    norms, blocks = _l2_pool_fwd(a.value, p)
+def t_l2_pool(a: Var, p: int, s: int | None = None) -> Var:
+    out, norms, blocks = _l2_pool_fwd(a.value, p, s)
     shape = a.value.shape
 
     def vjp(g):
         # g / norm broadcast over each patch's (q, 1, q, 1) slot; 0 on a zero patch
         safe = np.where(norms > 0, norms, 1.0)
-        coeff = (g / safe)[..., None, :, None]
+        coeff = (g.reshape(norms.shape) / safe)[..., None, :, None]
         grad = np.where(norms[..., None, :, None] > 0, coeff * blocks, 0.0)
         return (grad.reshape(shape),)
 
-    return a.tape._append("l2_pool", norms, (a.idx,), vjp)
+    return a.tape._append("l2_pool", out, (a.idx,), vjp)
 
 
 def _row_normalize_fwd(w: np.ndarray):

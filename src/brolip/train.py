@@ -156,33 +156,35 @@ def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
     Batched: `x` is (B, ...) or a single sample, `t` the true labels. Steps
     of size 2.5 * radius / steps walk against the margin gradient, each
     followed by projection onto the radius ball; the returned perturbation
-    never exceeds the radius. The parameters are frozen: every layer's
-    operator is prepared once per call, and each step records only the
-    input side on its tape.
+    never exceeds the radius. The parameters are frozen: the attack runs
+    the operators `net.prepare()` keeps for them, built at most once per
+    parameter state and shared with `net.forward`, and each step records
+    only the input side on its tape. The input, `delta` and the gradient
+    stay flat, (B, d), and the result takes the shape of `x` once, at the
+    end.
     """
     if not (math.isfinite(radius) and radius >= 0):
         raise ContractError(f"radius must be finite and non-negative, got {radius}")
     arr = net._coerce_batch(x)
     single = as_real_array(x).ndim == len(net.input_shape)
     labels = np.atleast_1d(np.asarray(t, dtype=np.int64))
-    if radius == 0.0 or steps <= 0:
-        return arr[0] if single else arr
-    step = 2.5 * radius / steps
-    flatdims = tuple(range(1, arr.ndim))
-    delta = np.zeros_like(arr)
-    frozen = net.prepare()
-    for _ in range(steps):
-        tape = Tape()
-        logits, x_var, _ = net.forward_tape(tape, arr + delta, frozen)
-        obj = t_custom_scalar(logits, lambda z: _margin_sum(z, labels), name="margin_sum")
-        grad = tape.backward(obj).get(x_var.idx)
-        if grad is None:
-            break
-        norms = np.sqrt(np.sum(grad * grad, axis=flatdims, keepdims=True))
-        direction = np.where(norms > 0, grad / np.where(norms > 0, norms, 1.0), 0.0)
-        delta -= step * direction
-        dnorm = np.sqrt(np.sum(delta * delta, axis=flatdims, keepdims=True))
-        factor = np.minimum(1.0, radius / np.where(dnorm > 0, dnorm, 1.0))
-        delta *= factor
-    out = arr + delta
+    out = arr
+    if radius > 0.0 and steps > 0:
+        step = 2.5 * radius / steps
+        delta = np.zeros_like(arr)
+        frozen = net.prepare()
+        for _ in range(steps):
+            tape = Tape()
+            logits, x_var, _ = net.forward_tape(tape, arr + delta, frozen)
+            obj = t_custom_scalar(logits, lambda z: _margin_sum(z, labels), name="margin_sum")
+            grad = tape.backward(obj).get(x_var.idx)
+            if grad is None:
+                break
+            norms = np.sqrt(np.sum(grad * grad, axis=1, keepdims=True))
+            direction = np.where(norms > 0, grad / np.where(norms > 0, norms, 1.0), 0.0)
+            delta -= step * direction
+            dnorm = np.sqrt(np.sum(delta * delta, axis=1, keepdims=True))
+            delta *= np.minimum(1.0, radius / np.where(dnorm > 0, dnorm, 1.0))
+        out = arr + delta
+    out = out.reshape((len(out),) + net.input_shape)
     return out[0] if single else out

@@ -167,6 +167,32 @@ def test_out_of_range_spec_integer_raises_format_error(tmp_path):
         load_checkpoint(bad)
 
 
+def _dense_rank(n):
+    def edit(header):
+        spec = next(s for s in header["layer_specs"] if s["kind"] == "bro_dense")
+        spec["args"]["n"] = spec["args"]["m"] if n == "m" else n
+    return edit
+
+
+def _negative_conv_rank(header):
+    header["layer_specs"][0]["args"]["n"] = -1
+
+
+@pytest.mark.parametrize("edit, named", [
+    (_dense_rank(0), r"layer 5 \(bro_dense\).*at least one column"),
+    (_dense_rank("m"), r"layer 5 \(bro_dense\).*need n < m"),
+    (_dense_rank(9), r"layer 5 \(bro_dense\).*need n < m"),
+    (_negative_conv_rank, r"layer 0 \(bro_conv\).*n=-1 is negative"),
+], ids=["dense_rank_zero", "dense_rank_m", "dense_rank_above_m", "negative_conv_rank"])
+def test_spec_integer_out_of_range_fails_the_load_and_certify(tmp_path, capsys, edit, named):
+    bad = _with_header(tmp_path, edit, bronet_mini(channels=2, spatial=4))
+    with pytest.raises(FormatError, match=named):
+        load_checkpoint(bad)
+    rc = main(["certify", "--ckpt", str(bad), "--out", str(tmp_path / "report.txt")])
+    assert rc == 2
+    assert "cannot load checkpoint" in capsys.readouterr().err
+
+
 def test_certify_exits_2_on_a_wrong_header(tmp_path, capsys):
     bad = _with_header(tmp_path, _drop_spec_argument)
     rc = main(["certify", "--ckpt", str(bad), "--out", str(tmp_path / "report.txt")])

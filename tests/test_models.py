@@ -139,6 +139,30 @@ class TestBuildModel:
         with pytest.raises(ContractError, match=cause):
             build_model([spec], seed=0)
 
+    @pytest.mark.parametrize("n, cause", [
+        (0, "at least one column"), (4, "need n < m"), (6, "need n < m")])
+    def test_dense_spec_goes_through_the_param_contract(self, n, cause):
+        specs = [LayerSpec("maxmin", {}), LayerSpec("bro_dense", {"m": 4, "n": n})]
+        with pytest.raises(ContractError, match=f"layer 1 \\(bro_dense\\).*{cause}"):
+            build_model(specs, seed=0, input_shape=(4,))
+
+    @pytest.mark.parametrize("kind, args, name", [
+        ("bro_conv", {"c": 2, "n": -1, "k": 3, "s": 4}, "n"),
+        ("bro_conv", {"c": -2, "n": 1, "k": 3}, "c"),
+        ("bro_conv", {"c": 2, "n": 1, "k": -1}, "k"),
+        ("bro_conv", {"c": 2, "n": 1, "k": 3, "s": -4}, "s"),
+        ("bro_dense", {"m": -32, "n": 1}, "m"),
+        ("bro_dense", {"m": 32, "n": -1}, "n"),
+        ("semi_ortho", {"d_in": 32, "d_out": -1}, "d_out"),
+        ("semi_ortho", {"d_in": 32, "d_out": 8, "n": -2}, "n"),
+        ("lln_head", {"classes": -2, "d_in": 32}, "classes"),
+        ("l2_pool", {"p": -2}, "p")])
+    def test_negative_size_names_the_layer(self, kind, args, name):
+        specs = [LayerSpec("maxmin", {}), LayerSpec(kind, args)]
+        with pytest.raises(ContractError,
+                           match=f"layer 1 \\({kind}\\).*{name}={args[name]} is negative"):
+            build_model(specs, seed=0, input_shape=(2, 4, 4))
+
     @pytest.mark.parametrize("p", [0, -2])
     def test_pool_patch_below_one_is_rejected(self, p):
         with pytest.raises(ContractError, match=f"p={p}"):

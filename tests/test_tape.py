@@ -285,6 +285,7 @@ def _parity_cases():
     cplx = lambda *shape: real(*shape) + 1j * real(*shape)
     v, vc = real(5, 7, 3), cplx(5, 7, 3)
     image = real(2, 3, 6, 6)
+    flat = real(2, 3 * 6 * 6)
     p = 6
     m = real_half(p).forward.shape[1] // 2
     return {
@@ -298,12 +299,13 @@ def _parity_cases():
         "transpose": [(_Var(image), (2, 3, 0, 1))],
         "reshape": [(_Var(image), (6, 36))],
         # the full p x p grid, and the centred 6 x 6 window of an 8 x 8 one
-        "rdft_half": [(_Var(image), p), (_Var(image), p + 2)],
-        "irdft_half": [(_Var(cplx(m, 3, 2)), p, p), (_Var(cplx(m, 3, 2)), p, p - 2)],
+        "rdft_half": [(_Var(image), p), (_Var(image), p + 2), (_Var(flat), p + 2, 6)],
+        "irdft_half": [(_Var(cplx(m, 3, 2)), p, p), (_Var(cplx(m, 3, 2)), p, p - 2),
+                       (_Var(cplx(m, 3, 2)), p, p - 2, True)],
         "reflect": [(_Var(v), linalg.gram_factor(v), _Var(real(5, 7, 4))),
                     (_Var(vc), linalg.gram_factor(vc), _Var(cplx(5, 7, 4)))],
-        "maxmin": [(_Var(real(4, 6)), 0), (_Var(real(4, 6)), 1)],
-        "l2_pool": [(_Var(image), 2), (_Var(image), 3)],
+        "maxmin": [(_Var(real(4, 6)), 0), (_Var(real(4, 6)), 1), (_Var(flat), 1, 6)],
+        "l2_pool": [(_Var(image), 2), (_Var(image), 3), (_Var(flat), 3, 6)],
         "row_normalize": [(_Var(real(3, 5)),)],
         "slice2d": [(_Var(real(4, 6)), 2, 3)],
     }
