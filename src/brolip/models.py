@@ -17,12 +17,19 @@ whose kernel takes no gradient (every eager forward, and
 `DENSE_CONV_MAX` and applies it as one GEMM; a conv being trained, or a
 larger one, keeps the per-frequency operator.
 
-Activations travel between layers flat, (B, d), from the network's input
-to its logits; `Network` flattens image-shaped inputs once. A layer that
-needs the image shape recorded it at build time and views the flat
-batch through it inside its primitive, so no layer records a reshape.
-There are no bias terms anywhere: they would not change any Lipschitz
-constant but would complicate the margin bookkeeping.
+Activations travel between layers feature-major, (d, B), one column per
+sample, from the network's input to its (C, B) logits; `Network` takes
+its input as the transposed view of the contiguous samples, and `forward`
+hands the logits back as (B, C). A dense layer prepares its weight W
+itself and applies W x. maxmin pairs channel blocks of s^2 B contiguous
+entries, so each half of a pair is one run. A layer that needs the image
+shape recorded it at build time and views the batch through it inside its
+primitive; the spectral transforms and l2_pool read a batch's image rows
+through one transposing copy, since they must multiply and sum the same
+rows as the image form. No layer records a reshape or, outside a conv's
+kernel taps, a transpose. There are no bias terms anywhere: they would
+not change any Lipschitz constant but would complicate the margin
+bookkeeping.
 """
 
 from __future__ import annotations
@@ -44,17 +51,18 @@ from .tensor import as_real_array
 # Largest c s^2 at which a frozen conv layer runs as its dense matrix.
 # `Network.prepare` builds the matrix once per parameter state, so a call
 # pays only the GEMM. Per layer, k = 3, rank 1, one OpenBLAS thread on a
-# 2-vCPU Xeon host (p10 of 30-200 calls, three runs), GEMM against spectral
-# apply: at c s^2 = 128 (c = 2, s = 8) 0.22 against 1.34 ms at batch 256 and
-# 0.006 against 0.06 ms at batch 1; at 256 (c = 4, s = 8) 0.81 against 1.6
-# and 0.015 against 0.065 ms; at 512 (c = 8, s = 8) 2.2-3.0 against 2.4-3.5
-# and 0.06-0.07 against 0.04-0.07 ms. The build costs 0.5, 1.75 and 5.5-7.7
-# ms at those sizes (8.3-11.7 ms at c = 2, s = 16) against 0.06 ms for the
-# spectral operator, so one pass of 256 samples per parameter state,
-# `brolip certify`'s default and only pass, still loses from 256 on (1.75 +
-# 0.81 against 1.65 ms). The switch cannot read the batch: an attack's
-# prepared matrix must match the recorded per-step forward bit for bit,
-# whatever the batch.
+# 2-vCPU Xeon host (p10 of 30-200 calls, three runs), GEMM A x against the
+# spectral apply, both on a feature-major batch: at c s^2 = 128 (c = 2,
+# s = 8) 0.13-0.20 against 0.84-1.27 ms at batch 256 and 0.004-0.005
+# against 0.05 ms at batch 1; at 256 (c = 4, s = 8) 0.65-0.79 against
+# 1.09-1.65 and 0.007-0.011 against 0.034-0.054 ms; at 512 (c = 8, s = 8)
+# 2.0-3.0 against 2.5-2.6 and 0.044-0.063 against 0.038-0.062 ms. The build
+# costs 0.42-0.54, 1.1-1.8 and 7.6-10.6 ms at those sizes against 0.03-0.05
+# ms for the spectral operator, so one pass of 256 samples per parameter
+# state, `brolip certify`'s default and only pass, still loses from 256 on
+# (1.1 + 0.65 against 1.09 ms at best). The switch cannot read the batch: an
+# attack's prepared matrix must match the recorded per-step forward bit for
+# bit, whatever the batch.
 DENSE_CONV_MAX = 128
 
 
@@ -64,15 +72,6 @@ class LayerSpec:
 
     kind: str
     args: dict = field(default_factory=dict)
-
-
-def _flatten(ops, x):
-    """A flat batch as it is; an image batch, which only a caller driving a
-    layer directly passes, reshaped to (B, d)."""
-    shape = ops.value(x).shape
-    if len(shape) == 2:
-        return x
-    return ops.reshape(x, (shape[0], math.prod(shape[1:])))
 
 
 def _reflector(ops, veff, m):
@@ -106,10 +105,11 @@ class _Layer:
 
 
 class _Linear(_Layer):
-    """Dense-style layer whose operator is its transposed weight matrix."""
+    """Dense-style layer whose operator is its weight matrix W, applied to a
+    feature-major batch as W x."""
 
-    def apply(self, ops, wt, x):
-        return ops.matmul(_flatten(ops, x), wt)
+    def apply(self, ops, w, x):
+        return ops.matmul(w, x)
 
 
 class _ResidualReflector(_Layer):
@@ -178,8 +178,7 @@ class BroDenseLayer(_ResidualReflector, _Linear):
         return np.eye(*self.v.shape)
 
     def prepare(self, ops, p):
-        v = self.effective(ops, p)
-        return ops.transpose(_reflector(ops, v, self.v.shape[0]), (1, 0))
+        return _reflector(ops, self.effective(ops, p), self.v.shape[0])
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.v.shape[0]:
@@ -202,7 +201,7 @@ class SemiOrthoLayer(_Linear):
 
     def prepare(self, ops, p):
         w = _reflector(ops, p["v"], self.v.shape[0])
-        return ops.transpose(ops.slice2d(w, self.d_out, self.d_in), (1, 0))
+        return ops.slice2d(w, self.d_out, self.d_in)
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.d_in:
@@ -212,8 +211,9 @@ class SemiOrthoLayer(_Linear):
 
 
 class MaxMinLayer(_Layer):
-    """Sorts channel pairs: on a flat (B, c s^2) image, runs of `run` = s^2
-    entries pair up; after a dense layer `run` is 1."""
+    """Sorts channel pairs: on a feature-major (c s^2, B) batch, channel
+    blocks of `run` B entries pair up, `run` = s^2; after a dense layer
+    `run` is 1 and rows pair up."""
 
     kind = "maxmin"
 
@@ -224,7 +224,7 @@ class MaxMinLayer(_Layer):
         return {}
 
     def apply(self, ops, operator, x):
-        return ops.maxmin(x, 1, self.run)
+        return ops.maxmin(x, 0, self.run * ops.value(x).shape[1])
 
     def out_shape(self, shape):
         if shape[0] % 2:
@@ -266,7 +266,7 @@ class LLNHead(_Linear):
         return {"w": self.w}
 
     def prepare(self, ops, p):
-        return ops.transpose(ops.row_normalize(p["w"]), (1, 0))
+        return ops.row_normalize(p["w"])
 
     def out_shape(self, shape):
         if int(np.prod(shape)) != self.w.shape[1]:
@@ -328,8 +328,12 @@ class Network:
 
     # -- forward passes -----------------------------------------------------
     def _coerce_batch(self, x):
-        """`x` as the flat (B, d) batch every layer takes: a batch of
-        `input_shape` samples, one sample, or a batch already flat."""
+        """`x`, a batch of `input_shape` samples, one sample, or a batch of
+        flat (B, d) samples, as the feature-major (d, B) batch every layer
+        takes, one column per sample: the transposed view of the contiguous
+        (B, d) samples. No layer copies it into its own order: a GEMM reads
+        it through BLAS's transpose flag, and the spectral transform's image
+        rows are a view of it."""
         arr = as_real_array(x)
         if arr.ndim == len(self.input_shape):
             arr = arr[None]
@@ -337,15 +341,15 @@ class Network:
         if arr.shape[1:] != self.input_shape and arr.shape[1:] != (d,):
             raise ContractError(
                 f"input shape {arr.shape[1:]} does not match {self.input_shape}")
-        return arr.reshape(arr.shape[0], d)
+        return np.ascontiguousarray(arr.reshape(arr.shape[0], d)).T
 
     def forward(self, x) -> np.ndarray:
-        """Eager batch forward to logits: each layer applies its operator
-        from `prepare()` to the flat batch."""
+        """Eager batch forward to contiguous (B, C) logits: each layer
+        applies its operator from `prepare()` to the feature-major batch."""
         cur = self._coerce_batch(x)
         for layer, operator in zip(self.layers, self.prepare()):
             cur = layer.apply(EagerOps, operator, cur)
-        return cur
+        return np.ascontiguousarray(cur.T)
 
     def prepare(self) -> tuple:
         """Every layer's operator, built eagerly from the current parameters.
@@ -372,7 +376,8 @@ class Network:
     def forward_tape(self, tape: Tape, x, frozen=None):
         """Recorded forward; returns (logits, input var, {(i, name): var}).
 
-        The input enters flat, (B, d), as in `forward`. Without `frozen`,
+        The input enters feature-major, (d, B), as in `forward`, and the
+        logits leave as (C, B), one column per sample. Without `frozen`,
         every parameter is a grad-requiring leaf and the input a constant.
         `frozen` is a `prepare()` result: the input is then the only grad
         leaf, the operators enter as constants, the tape records only the

@@ -36,9 +36,10 @@ of a k = 1 conv, W kron I: the same c x c reflector at every pixel.
 
 At desk scale a conv is also a small fixed linear map (Sedghi et al.
 2019): for c s^2 <= 1024, `conv_matrix` runs the spectral path once on the
-identity basis and returns the conv's dense matrix, and `conv_matrix_apply`
-applies it as one GEMM, whose adjoint is the transposed GEMM. Its residue
-gate bounds every input at once, so it is no looser than the per-call one.
+identity basis and returns the conv's dense matrix A, and
+`conv_matrix_apply` applies it to a feature-major batch as one GEMM, A x,
+whose adjoint is the transposed GEMM. Its residue gate bounds every input
+at once, so it is no looser than the per-call one.
 A frozen conv layer takes this path only up to `models.DENSE_CONV_MAX`,
 the size to which it was measured to pay.
 """
@@ -237,7 +238,7 @@ def _require_real(name: str, worst: float) -> None:
 
 def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
     """The reflector applied to the half-plane spectrum of the padded `x`,
-    (m, c, B); `x` is (B, c, s, s) or flat (B, c s^2)."""
+    (m, c, B); `x` is (B, c, s, s) or feature-major (c s^2, B)."""
     _require_real("kernel", op.kernel_imag)
     _require_real("input", _imag_max(ops.value(x)))
     return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size, geom.spatial))
@@ -245,18 +246,18 @@ def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
 
 def _image(ops, yf, geom: ConvGeometry, flat: bool):
     """The real image of a half-plane spectrum, (B, c, s_out, s_out), or
-    (B, c s_out^2) when `flat`."""
+    feature-major (c s_out^2, B) when `flat`."""
     return ops.irdft_half(yf, geom.padded_size, geom.output_size, flat)
 
 
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):
     """Orthogonal circular convolution of a batched input, backend-generic.
 
-    `x` is (B, c, s, s), or flat (B, c s^2), and the output takes its
-    layout: (B, c, s_out, s_out) or (B, c s_out^2). `v_eff` is either the
-    kernel (c, n, k, k) or the `ConvOperator` that `conv_prepare` built from
-    it; both are backend values (ndarrays for the eager backend, tape
-    variables when recording).
+    `x` is (B, c, s, s), or a feature-major (c s^2, B) batch, and the
+    output takes its layout: (B, c, s_out, s_out) or (c s_out^2, B).
+    `v_eff` is either the kernel (c, n, k, k) or the `ConvOperator` that
+    `conv_prepare` built from it; both are backend values (ndarrays for the
+    eager backend, tape variables when recording).
     The parameterization is applied per spatial frequency on the channel
     axis, at the half-plane representatives only; the output is the real
     inverse transform of their mirror. Both the kernel and `x` must be real
@@ -278,10 +279,13 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
 
 
 def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
-    """The dense (c s^2, c s_out^2) matrix M of a prepared conv: row j is the conv of e_j.
+    """The dense (c s_out^2, c s^2) matrix A of a prepared conv: column j is the conv of e_j.
 
-    Runs the spectral path of `conv_apply` once, on the identity basis (a
-    batch of c s^2 inputs), so a flat batch x (B, c s^2) convolves as x @ M.
+    Runs the spectral path of `conv_apply` once, on the identity basis of
+    c s^2 inputs, and returns its output feature-major, so a feature-major
+    batch x (c s^2, B) convolves as A @ x. The identity is its own
+    transpose, so it enters as an image batch, whose rows the transform
+    reads in place: the same rows, and bits, as its feature-major form.
     Limited to c s^2 <= 1024. The gate is the basis form of
     `conv_apply`'s: with R_j the imaginary residue that basis
     input j leaves at each pixel class and channel (through
@@ -294,7 +298,7 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     dim = c * s * s
     if dim > _MATERIALIZE_CAP:
         raise ContractError(f"size cap exceeded: c*s^2 = {dim} > {_MATERIALIZE_CAP}")
-    basis = ops.constant(np.eye(dim))
+    basis = ops.constant(np.eye(dim).reshape(dim, c, s, s))
     yf = _reflected_spectrum(ops, op, basis, geom)
     residue = pixel_residue(ops.value(yf), geom.padded_size)   # (classes, c, dim)
     bound = float(np.abs(residue).sum(axis=-1).max())
@@ -308,19 +312,21 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
 def conv_matrix_apply(ops, m, x, geom: ConvGeometry):
     """The conv whose `conv_matrix` is `m`, applied to a real batch.
 
-    A flat batch (B, c s^2) is one GEMM with `m`, whose input adjoint on a
-    tape is the transposed GEMM. An image batch (B, c, s, s) is flattened
-    for it and the output reshaped to (B, c, s_out, s_out), as `conv_apply`
-    keeps the input's layout. A complex input raises `ContractError`, as in
-    `conv_apply`.
+    A feature-major batch (c s^2, B) is one GEMM, `m` @ x, whose input
+    adjoint on a tape is the transposed GEMM. An image batch (B, c, s, s)
+    is transposed into that batch, contiguous as a network's is, so both
+    give the same bits, and the output back into (B, c, s_out, s_out), as
+    `conv_apply` keeps the input's layout. A complex input raises
+    `ContractError`, as in `conv_apply`.
     """
     xv = ops.value(x)
     _require_real("input", _imag_max(xv))
     if xv.ndim == 2:
-        return ops.matmul(x, m)
+        return ops.matmul(m, x)
     b, size = xv.shape[0], geom.output_size
-    y = ops.matmul(ops.reshape(x, (b, geom.channels_in * geom.spatial ** 2)), m)
-    return ops.reshape(y, (b, geom.channels_out, size, size))
+    cols = ops.reshape(ops.transpose(x, (1, 2, 3, 0)), (geom.channels_in * geom.spatial ** 2, b))
+    y = ops.reshape(ops.matmul(m, cols), (geom.channels_out, size, size, b))
+    return ops.transpose(y, (3, 0, 1, 2))
 
 
 def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:

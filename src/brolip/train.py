@@ -2,7 +2,8 @@
 
 Plain SGD with momentum: fewer moving parts than adaptive optimizers, and
 with a fixed seed the whole run is bit-reproducible on one platform. Loss
-scalars enter the tape through their analytic batch gradients.
+scalars enter the tape through their analytic batch gradients, taken on a
+(B, C) copy of the network's feature-major (C, B) logits.
 """
 
 from __future__ import annotations
@@ -113,7 +114,7 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainLog:
             tape = Tape()
             logits, _, param_vars = net.forward_tape(tape, x[idx])
             loss_var = t_custom_scalar(
-                logits, lambda z: loss_fn(z, labels[idx], cfg.loss_cfg),
+                logits, _by_columns(lambda z: loss_fn(z, labels[idx], cfg.loss_cfg)),
                 name=f"{cfg.loss}_loss")
             loss_val = float(loss_var.value)
             if not math.isfinite(loss_val):
@@ -141,6 +142,16 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainLog:
     return log
 
 
+def _by_columns(fn):
+    """`fn`, a scalar of (B, C) logits with its gradient, as a scalar of
+    (C, B) logits: it reads a contiguous transposed copy and returns the
+    gradient transposed back, contiguous, so the tape records no transpose."""
+    def by_columns(z):
+        value, dz = fn(np.ascontiguousarray(z.T))
+        return value, np.ascontiguousarray(dz.T)
+    return by_columns
+
+
 def _margin_sum(z: np.ndarray, labels: np.ndarray):
     m, runner = losses.margins_and_runners(z, labels)
     rows = np.arange(z.shape[0])
@@ -148,6 +159,14 @@ def _margin_sum(z: np.ndarray, labels: np.ndarray):
     dz[rows, labels] = 1.0
     dz[rows, runner] -= 1.0
     return float(np.sum(m)), dz
+
+
+def _row_norms(a: np.ndarray, squares: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """The l2 norm of each row of `a` into `out` (B, 1); `squares` is scratch
+    of `a`'s shape."""
+    np.multiply(a, a, out=squares)
+    np.sum(squares, axis=1, keepdims=True, out=out)
+    return np.sqrt(out, out=out)
 
 
 def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
@@ -159,32 +178,43 @@ def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
     never exceeds the radius. The parameters are frozen: the attack runs
     the operators `net.prepare()` keeps for them, built at most once per
     parameter state and shared with `net.forward`, and each step records
-    only the input side on its tape. The input, `delta` and the gradient
-    stay flat, (B, d), and the result takes the shape of `x` once, at the
-    end.
+    only the input side on its tape. The network takes the batch
+    feature-major, (d, B); `delta` stays sample-major, (B, d), and each step
+    copies the input gradient into that layout and turns it into the step
+    in place, with the norms, in buffers allocated once per call. The result
+    takes the shape of `x`.
     """
     if not (math.isfinite(radius) and radius >= 0):
         raise ContractError(f"radius must be finite and non-negative, got {radius}")
-    arr = net._coerce_batch(x)
+    base = net._coerce_batch(x).T
     single = as_real_array(x).ndim == len(net.input_shape)
     labels = np.atleast_1d(np.asarray(t, dtype=np.int64))
-    out = arr
+    out = base
     if radius > 0.0 and steps > 0:
         step = 2.5 * radius / steps
-        delta = np.zeros_like(arr)
+        score = _by_columns(lambda z: _margin_sum(z, labels))
+        delta = np.zeros(base.shape)
+        g, squares = np.empty(base.shape), np.empty(base.shape)
+        gnorm, dnorm = np.empty((len(base), 1)), np.empty((len(base), 1))
         frozen = net.prepare()
         for _ in range(steps):
             tape = Tape()
-            logits, x_var, _ = net.forward_tape(tape, arr + delta, frozen)
-            obj = t_custom_scalar(logits, lambda z: _margin_sum(z, labels), name="margin_sum")
-            grad = tape.backward(obj).get(x_var.idx)
+            logits, x_var, _ = net.forward_tape(tape, base + delta, frozen)
+            grad = tape.backward(t_custom_scalar(logits, score, name="margin_sum")).get(x_var.idx)
             if grad is None:
                 break
-            norms = np.sqrt(np.sum(grad * grad, axis=1, keepdims=True))
-            direction = np.where(norms > 0, grad / np.where(norms > 0, norms, 1.0), 0.0)
-            delta -= step * direction
-            dnorm = np.sqrt(np.sum(delta * delta, axis=1, keepdims=True))
-            delta *= np.minimum(1.0, radius / np.where(dnorm > 0, dnorm, 1.0))
-        out = arr + delta
+            np.copyto(g, grad.T)
+            # the unit direction, 0 where the norm is 0 or NaN, times the step
+            moving = _row_norms(g, squares, gnorm) > 0
+            np.divide(g, gnorm, out=g, where=moving)
+            np.copyto(g, 0.0, where=~moving)
+            g *= step
+            delta -= g
+            # project onto the ball: scale by min(1, radius / |delta|), |0| read as 1
+            _row_norms(delta, squares, dnorm)
+            np.copyto(dnorm, 1.0, where=~(dnorm > 0))
+            np.divide(radius, dnorm, out=dnorm)
+            delta *= np.minimum(1.0, dnorm, out=dnorm)
+        out = base + delta
     out = out.reshape((len(out),) + net.input_shape)
     return out[0] if single else out

@@ -111,7 +111,12 @@ def _fd_param_check(net, x, labels, loss_fn, h=1e-5):
 
     tape = Tape()
     logits, _, param_vars = net.forward_tape(tape, x)
-    loss_var = t_custom_scalar(logits, lambda z: loss_fn(z, labels))
+
+    def by_columns(z):  # the recorded logits are (C, B), one column per sample
+        value, dz = loss_fn(np.ascontiguousarray(z.T), labels)
+        return value, dz.T
+
+    loss_var = t_custom_scalar(logits, by_columns)
     grads = tape.backward(loss_var)
     worst = 0.0
     for (i, name, arr) in net.parameters():

@@ -36,7 +36,7 @@ def test_dense_path_is_the_conv(k, keep):
     layer = _layer(c, n, k, s, keep, seed=40 + k)
     m = layer.prepare(EagerOps, layer.params())
     size = layer.geom.output_size
-    assert isinstance(m, np.ndarray) and m.shape == (c * s * s, c * size * size)
+    assert isinstance(m, np.ndarray) and m.shape == (c * size * size, c * s * s)
 
     x = np.random.default_rng(50 + k).standard_normal((7, c, s, s))
     dense = layer.forward(EagerOps, layer.params(), x)
@@ -44,13 +44,13 @@ def test_dense_path_is_the_conv(k, keep):
     assert np.linalg.norm(dense - spectral) <= 1e-12 * np.linalg.norm(spectral)
 
     if keep:
-        assert np.linalg.norm(m @ m.T - np.eye(c * s * s), 2) <= 1e-13
+        assert np.linalg.norm(m.T @ m - np.eye(c * s * s), 2) <= 1e-13
     else:
         assert np.linalg.norm(m, 2) <= 1.0 + 1e-13
     if k == 1:
-        # the oracle maps column vectors, y = A x; the dense path maps rows, y = x M
+        # the dense path maps column vectors, y = A x, as the oracle does
         oracle = materialize_conv_matrix(BroConvKernel(layer.v), s).array
-        assert np.max(np.abs(m - oracle.T)) <= 1e-12
+        assert np.max(np.abs(m - oracle)) <= 1e-12
 
 
 def test_dense_apply_rejects_a_complex_input():

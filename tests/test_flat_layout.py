@@ -1,7 +1,10 @@
-"""The primitives' flat (B, c s^2) forms against their image forms.
+"""The primitives' feature-major (c s^2, B) forms against their image forms.
 
-A flat batch is a reshape of the image batch, so every output and
-cotangent must equal the image form's, reshaped, bit for bit.
+A feature-major batch is the transpose of the flattened image batch, so
+every output and cotangent must equal the image form's, transposed the same
+way, bit for bit. A network on a batch as large as its input width, where a
+transposition would keep every shape, must give each sample what it gives
+that sample alone.
 """
 
 import math
@@ -11,8 +14,10 @@ import pytest
 
 from brolip.errors import ContractError
 from brolip.fft import half_plane
+from brolip.models import build_model, lipconvnet_mini
 from brolip.ortho import ConvGeometry, conv_apply, conv_matrix, conv_matrix_apply, conv_prepare
 from brolip.tape import EagerOps, Tape, TapeOps
+from brolip.train import pgd_attack
 
 
 def _taped(fn, x, seed):
@@ -22,19 +27,29 @@ def _taped(fn, x, seed):
     return out.value, tape.backward(out, seed=seed)[leaf.idx]
 
 
-def _same_as_image(image_fn, flat_fn, x, seed=3):
-    """`flat_fn` on flat `x` equals `image_fn` on image `x`, eagerly and
-    taped, value and cotangent; returns the flat form's eager output."""
+def _columns(a):
+    """A (B, ...) batch as its contiguous feature-major (d, B) form."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], math.prod(a.shape[1:])).T)
+
+
+def _same_as_image(image_fn, fm_fn, x, seed=3, batch_in=True, batch_out=True):
+    """`fm_fn` on feature-major `x` equals `image_fn` on image `x`, eagerly
+    and taped, value and cotangent; returns the feature-major form's eager
+    output. `batch_in` and `batch_out` say whether the image form takes and
+    returns a (B, ...) batch, which the feature-major form takes or returns
+    transposed; otherwise both forms share that layout."""
     rng = np.random.default_rng(seed)
-    flat = x.reshape(x.shape[0], math.prod(x.shape[1:]))
+    fm_in = _columns if batch_in else np.asarray
+    fm_out = _columns if batch_out else np.asarray
+    cols = fm_in(x)
     ref = image_fn(EagerOps, x)
-    out = flat_fn(EagerOps, flat)
-    assert np.array_equal(out, ref.reshape(out.shape))
+    out = fm_fn(EagerOps, cols)
+    assert np.array_equal(out, fm_out(ref))
     g = rng.standard_normal(ref.shape)
     ref_value, ref_grad = _taped(image_fn, x, g)
-    value, grad = _taped(flat_fn, flat, g.reshape(out.shape))
-    assert np.array_equal(value, ref_value.reshape(value.shape))
-    assert grad.shape == flat.shape and np.array_equal(grad, ref_grad.reshape(flat.shape))
+    value, grad = _taped(fm_fn, cols, fm_out(g))
+    assert np.array_equal(value, fm_out(ref_value))
+    assert grad.shape == cols.shape and np.array_equal(grad, fm_in(ref_grad))
     return out
 
 
@@ -43,8 +58,15 @@ def test_maxmin_pairs_runs_of_a_flat_image(c, s):
     x = np.random.default_rng(c + s).standard_normal((5, c, s, s))
     x[:, 1] = x[:, 0]  # ties keep their slots on both forms
     out = _same_as_image(lambda ops, a: ops.maxmin(a, 1),
-                         lambda ops, a: ops.maxmin(a, 1, s * s), x)
-    assert out.shape == (5, c * s * s)
+                         lambda ops, a: ops.maxmin(a, 0, s * s * 5), x)
+    assert out.shape == (c * s * s, 5)
+
+
+def test_maxmin_takes_an_empty_feature_major_batch():
+    out = EagerOps.maxmin(np.zeros((8, 0)), 0, 0)
+    assert out.shape == (8, 0)
+    with pytest.raises(ContractError, match="runs of 0"):
+        EagerOps.maxmin(np.zeros((8, 2)), 0, 0)
 
 
 def test_maxmin_rejects_runs_that_do_not_tile():
@@ -54,7 +76,8 @@ def test_maxmin_rejects_runs_that_do_not_tile():
         EagerOps.maxmin(np.zeros((2, 12)), 1, 4)
 
 
-@pytest.mark.parametrize("b", [0, 3])
+# 500 samples of 48 features make the batch's image copy in several blocks
+@pytest.mark.parametrize("b", [0, 3, 500])
 @pytest.mark.parametrize("p", [1, 2, 4])
 def test_l2_pool_views_a_flat_image(p, b):
     x = np.random.default_rng(p).standard_normal((b, 3, 4, 4))
@@ -62,7 +85,7 @@ def test_l2_pool_views_a_flat_image(p, b):
         x[0, 1] = 0.0  # a zero patch
     out = _same_as_image(lambda ops, a: ops.l2_pool(a, p),
                          lambda ops, a: ops.l2_pool(a, p, 4), x)
-    assert out.shape == (b, 3 * (4 // p) ** 2)
+    assert out.shape == (3 * (4 // p) ** 2, b)
 
 
 @pytest.mark.parametrize("s, p", [(4, 6), (5, 7), (6, 6)])
@@ -70,12 +93,12 @@ def test_half_plane_transforms_take_and_give_the_flat_layout(s, p):
     rng = np.random.default_rng(s + p)
     x = rng.standard_normal((3, 2, s, s))
     _same_as_image(lambda ops, a: ops.rdft_half(a, p),
-                   lambda ops, a: ops.rdft_half(a, p, s), x)
+                   lambda ops, a: ops.rdft_half(a, p, s), x, batch_out=False)
     m = half_plane(p).rep.size
     yf = rng.standard_normal((m, 2, 3)) + 1j * rng.standard_normal((m, 2, 3))
-    image = EagerOps.irdft_half(yf, p, s)
-    flat = EagerOps.irdft_half(yf, p, s, True)
-    assert flat.shape == (3, 2 * s * s) and np.array_equal(flat, image.reshape(3, -1))
+    out = _same_as_image(lambda ops, a: ops.irdft_half(a, p, s),
+                         lambda ops, a: ops.irdft_half(a, p, s, True), yf, batch_in=False)
+    assert out.shape == (2 * s * s, 3)
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -96,3 +119,24 @@ def test_conv_keeps_the_input_layout(keep):
     # each function keeps its input's layout, so it serves as both forms
     _same_as_image(spectral, spectral, x)
     _same_as_image(dense, dense, x)
+
+
+def test_a_batch_as_wide_as_the_input_gives_each_sample_its_own_result():
+    # lipconvnet_mini(2, 4) takes d = 32 inputs, toy_train's batch size: at
+    # B = d every activation of its conv stack is square, so a layer that
+    # mixed samples instead of features would pass every shape check. The
+    # batch runs its GEMMs as matrix products and one sample as
+    # matrix-vector products, which may round differently.
+    net = build_model(lipconvnet_mini(2, 4), seed=1)
+    rng = np.random.default_rng(12)
+    x = rng.standard_normal((32,) + net.input_shape)
+    labels = rng.integers(0, net.classes(), size=32)
+    assert math.prod(net.input_shape) == len(x)
+    logits = net.forward(x)
+    assert logits.shape == (32, net.classes()) and logits.flags["C_CONTIGUOUS"]
+    alone = np.concatenate([net.forward(xi) for xi in x])
+    np.testing.assert_allclose(logits, alone, rtol=0, atol=1e-13)
+    adv = pgd_attack(net, x, labels, 0.3, 3)
+    assert adv.shape == x.shape
+    alone = np.stack([pgd_attack(net, xi, ti, 0.3, 3) for xi, ti in zip(x, labels)])
+    np.testing.assert_allclose(adv, alone, rtol=0, atol=1e-13)

@@ -28,11 +28,26 @@ def _batch(net, size, seed):
     return x, rng.integers(0, net.classes(), size=size)
 
 
+def _columns(x):
+    """A (B, ...) batch as the network's feature-major (d, B) batch: the
+    transposed view of its contiguous samples."""
+    return np.ascontiguousarray(x.reshape(len(x), -1)).T
+
+
+def _by_columns(fn):
+    """`fn`, a scalar of (B, C) logits with its gradient, on (C, B) logits."""
+    def by_columns(z):
+        value, dz = fn(np.ascontiguousarray(z.T))
+        return value, np.ascontiguousarray(dz.T)
+    return by_columns
+
+
 def _recorded_forward(net, tape, x, input_grad, param_grad):
-    """Every layer's unprepared `forward` on a tape; returns (logits, x var,
-    parameter vars in declaration order)."""
+    """Every layer's unprepared `forward` on a tape, from the image batch `x`
+    taken feature-major; returns ((C, B) logits, x var, parameter vars in
+    declaration order)."""
     ops = TapeOps(tape)
-    x_var = tape.leaf(x, requires_grad=input_grad)
+    x_var = tape.leaf(_columns(x), requires_grad=input_grad)
     cur, param_vars = x_var, []
     for layer in net.layers:
         bound = {name: tape.leaf(arr, requires_grad=param_grad)
@@ -45,7 +60,7 @@ def _recorded_forward(net, tape, x, input_grad, param_grad):
 def _param_grads(net, x, labels, input_grad):
     tape = Tape()
     logits, _, param_vars = _recorded_forward(net, tape, x, input_grad, True)
-    loss = t_custom_scalar(logits, lambda z: la_loss_mean(z, labels, LossConfig()))
+    loss = t_custom_scalar(logits, _by_columns(lambda z: la_loss_mean(z, labels, LossConfig())))
     grads = tape.backward(loss)
     return [grads[v.idx] for v in param_vars]
 
@@ -58,8 +73,8 @@ def _reference_pgd(net, x, labels, radius, steps):
     for _ in range(steps):
         tape = Tape()
         logits, x_var, _ = _recorded_forward(net, tape, x + delta, True, False)
-        obj = t_custom_scalar(logits, lambda z: _margin_sum(z, labels))
-        grad = tape.backward(obj)[x_var.idx]
+        obj = t_custom_scalar(logits, _by_columns(lambda z: _margin_sum(z, labels)))
+        grad = np.ascontiguousarray(tape.backward(obj)[x_var.idx].T).reshape(x.shape)
         norms = np.sqrt(np.sum(grad * grad, axis=flatdims, keepdims=True))
         direction = np.where(norms > 0, grad / np.where(norms > 0, norms, 1.0), 0.0)
         delta -= step * direction
@@ -77,7 +92,7 @@ def _check_param_grads(net, seed):
     # and `forward_tape`'s training path is that same recording
     tape = Tape()
     logits, _, param_vars = net.forward_tape(tape, x)
-    loss = t_custom_scalar(logits, lambda z: la_loss_mean(z, labels, LossConfig()))
+    loss = t_custom_scalar(logits, _by_columns(lambda z: la_loss_mean(z, labels, LossConfig())))
     grads = tape.backward(loss)
     for (i, name, _), ref in zip(net.parameters(), frozen_input):
         assert np.array_equal(grads[param_vars[(i, name)].idx], ref)
@@ -105,7 +120,7 @@ def test_forward_tape_with_frozen_operators_records_only_the_input_side():
     tape = Tape()
     logits, x_var, param_vars = net.forward_tape(tape, x, net.prepare())
     assert param_vars == {} and x_var.requires_grad
-    assert np.array_equal(logits.value, net.forward(x))
+    assert np.array_equal(logits.value.T, net.forward(x))
     leaves = [n for n in tape.nodes if n.vjp is None]
     assert [n.requires_grad for n in leaves].count(True) == 1
     with pytest.raises(ContractError, match="prepared operators"):
@@ -123,7 +138,7 @@ def test_a_recorded_tape_is_freed_without_the_cycle_collector(frozen):
     try:
         tape = Tape()
         recorded = net.forward_tape(tape, x, net.prepare() if frozen else None)
-        tape.backward(t_custom_scalar(recorded[0], lambda z: _margin_sum(z, labels)))
+        tape.backward(t_custom_scalar(recorded[0], _by_columns(lambda z: _margin_sum(z, labels))))
         ref = weakref.ref(tape)
         del tape, recorded
         assert ref() is None

@@ -119,19 +119,19 @@ class TestNewtonOrthogonalization:
 
 
 class TestSemiOrthogonal:
-    # the layer applies its prepared operator, the transposed c_out x c_in
-    # block of the reflector of v, as x @ operator
+    # the layer applies its prepared operator, the c_out x c_in block of
+    # the reflector of v, to a feature-major batch as operator @ x
     def _layer(self, c, c_out, c_in, seed):
         rng = np.random.default_rng(seed)
         return SemiOrthoLayer(rng.standard_normal((c, c // 2)), c_out, c_in)
 
     def _block(self, c, c_out, c_in, seed):
         layer = self._layer(c, c_out, c_in, seed)
-        return layer.prepare(EagerOps, layer.params()).T
+        return layer.prepare(EagerOps, layer.params())
 
     def test_square_truncation_is_identity_map(self):
         layer = self._layer(4, 4, 4, 0)
-        np.testing.assert_allclose(layer.prepare(EagerOps, layer.params()).T,
+        np.testing.assert_allclose(layer.prepare(EagerOps, layer.params()),
                                    block_reflector(layer.v))
 
     def test_expanding_preserves_norms(self):

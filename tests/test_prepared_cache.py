@@ -1,5 +1,5 @@
 """`Network.prepare` keeps its operators for one parameter state, and a
-frozen network runs flat.
+network runs feature-major, (d, B), with no reshape or transpose node.
 
 A forward or an attack reuses the kept operators while every parameter
 equals the copy they were built from; any change of value rebuilds them.
@@ -124,7 +124,8 @@ def test_kept_arrays_are_read_only_and_own_their_memory(model):
         arrays[0][...] = 0.0
 
 
-def test_a_frozen_pgd_step_records_no_reshape(monkeypatch):
+def _kept_tapes(monkeypatch):
+    """The tapes `brolip.train` records from here on."""
     tapes = []
 
     class Kept(Tape):
@@ -133,13 +134,31 @@ def test_a_frozen_pgd_step_records_no_reshape(monkeypatch):
             tapes.append(self)
 
     monkeypatch.setattr(importlib.import_module("brolip.train"), "Tape", Kept)
+    return tapes
+
+
+def test_a_frozen_pgd_step_records_no_reshape(monkeypatch):
+    tapes = _kept_tapes(monkeypatch)
     net = build_model(MINI["lipconvnet"], seed=1)
     x, labels = _batch(net, 4, 6)
     pgd_attack(net, x, labels, 0.3, 2)
     assert len(tapes) == 2
     for tape in tapes:
         ops = [node.op for node in tape.nodes]
-        assert "reshape" not in ops and len(ops) == 12, ops
+        assert "reshape" not in ops and "transpose" not in ops and len(ops) == 12, ops
+
+
+def test_a_training_step_transposes_only_conv_taps(monkeypatch):
+    # each dense layer prepares W itself and applies W x; the one transpose
+    # per conv lays its kernel's taps out for the tap DFT
+    tapes = _kept_tapes(monkeypatch)
+    net = build_model(MINI["bronet"], seed=1)
+    x, labels = _batch(net, 4, 8)
+    train(net, (x, labels), TrainConfig(seed=0, epochs=1, batch_size=4))
+    assert len(tapes) == 1
+    ops = [node.op for node in tapes[0].nodes]
+    convs = sum(layer.kind == "bro_conv" for layer in net.layers)
+    assert convs == 2 and ops.count("transpose") == convs, ops
 
 
 @pytest.mark.parametrize("model", list(MINI))
