@@ -22,7 +22,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .losses import margins_and_runners
+from .losses import check_labels, margins_and_runners
 from .tensor import as_real_array
 
 REPORT_VERSION = 1
@@ -293,16 +293,10 @@ def build_report(logits, labels, lipschitz_bound: float, head_rows=None,
     `margin`, `certified_radius` and `lln_certified_radius` bit for bit.
     """
     z = as_real_array(logits)
-    labels = np.asarray(labels, dtype=np.int64).reshape(-1)
     if z.ndim != 2 or z.shape[1] < 2:
         raise ContractError(f"need at least two classes, got logits shape {z.shape}")
     n, c = z.shape
-    if labels.size != n:
-        raise ContractError(f"{labels.size} labels for {n} samples")
-    bad = np.flatnonzero((labels < 0) | (labels >= c))
-    if bad.size:
-        raise ContractError(f"label {labels[bad[0]]} of sample {bad[0]} "
-                            f"out of range for {c} classes")
+    labels = check_labels(labels, n, c)
     if head_rows is not None:
         rows = as_real_array(head_rows)
         if rows.ndim != 2 or rows.shape[0] != c:

@@ -57,16 +57,32 @@ def _softmax_rows(u: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def _check_logits(z: np.ndarray, t: np.ndarray):
+def check_labels(labels, samples: int, classes: int) -> np.ndarray:
+    """`labels` as int64 class indices, one per sample, (samples,).
+
+    Raises `ContractError` when there are not `samples` of them, or naming
+    the first sample whose label lies outside [0, classes).
+    """
+    t = np.asarray(labels, dtype=np.int64).reshape(-1)
+    if t.size != samples:
+        raise ContractError(f"{t.size} labels for {samples} samples")
+    bad = np.flatnonzero((t < 0) | (t >= classes))
+    if bad.size:
+        raise ContractError(f"label {t[bad[0]]} of sample {bad[0]} "
+                            f"out of range for {classes} classes")
+    return t
+
+
+def _check_logits(z: np.ndarray, t) -> np.ndarray:
+    """The labels `t` of (B, K) logits `z`, checked by `check_labels`."""
     if z.ndim != 2 or z.shape[1] < 2:
         raise ContractError(f"need at least two classes, got logits shape {z.shape}")
-    if np.any(t < 0) or np.any(t >= z.shape[1]):
-        raise ContractError("label out of range")
+    return check_labels(t, *z.shape)
 
 
 def _la_batch(z: np.ndarray, t: np.ndarray, cfg: LossConfig):
     """Per-sample annealed loss values and gradients for a (B, K) batch."""
-    _check_logits(z, t)
+    t = _check_logits(z, t)
     b, k = z.shape
     rows = np.arange(b)
     u = z.copy()
@@ -120,7 +136,7 @@ def margins_and_runners(z: np.ndarray, t: np.ndarray):
 
 
 def _ce_cr_batch(z: np.ndarray, t: np.ndarray, cfg: LossConfig):
-    _check_logits(z, t)
+    t = _check_logits(z, t)
     b = z.shape[0]
     rows = np.arange(b)
     p = _softmax_rows(z)

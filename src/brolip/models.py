@@ -23,13 +23,11 @@ its input as the transposed view of the contiguous samples, and `forward`
 hands the logits back as (B, C). A dense layer prepares its weight W
 itself and applies W x. maxmin pairs channel blocks of s^2 B contiguous
 entries, so each half of a pair is one run. A layer that needs the image
-shape recorded it at build time and views the batch through it inside its
-primitive; the spectral transforms and l2_pool read a batch's image rows
-through one transposing copy, since they must multiply and sum the same
-rows as the image form. No layer records a reshape or, outside a conv's
-kernel taps, a transpose. There are no bias terms anywhere: they would
-not change any Lipschitz constant but would complicate the margin
-bookkeeping.
+shape recorded it at build time and passes it to its primitive, which
+takes only this layout and reads the batch's image rows itself. No layer
+records a reshape or, outside a conv's kernel taps, a transpose. There
+are no bias terms anywhere: they would not change any Lipschitz constant
+but would complicate the margin bookkeeping.
 """
 
 from __future__ import annotations
@@ -224,7 +222,7 @@ class MaxMinLayer(_Layer):
         return {}
 
     def apply(self, ops, operator, x):
-        return ops.maxmin(x, 0, self.run * ops.value(x).shape[1])
+        return ops.maxmin(x, self.run * ops.value(x).shape[1])
 
     def out_shape(self, shape):
         if shape[0] % 2:

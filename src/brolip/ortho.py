@@ -22,7 +22,10 @@ one real GEMM each with the cached `fft.real_window` tables. Those are the
 output's, so the zero pad and the crop are no separate step: a conv is
 rdft_half, reflect, irdft_half for every k. The output's
 imaginary residue is read from the s0 self-conjugate rows of the output
-spectrum, the only rows the inverse does not pair into a real sum.
+spectrum, the only rows the inverse does not pair into a real sum. The
+conv functions take and return feature-major (c s^2, B) batches, the one
+layout of the models' activations; `bro_conv_forward` alone reads and
+returns (B, c, s, s) images.
 
 Two competing constructions are provided for comparison: the Cayley
 transform of a skew-symmetrized parameter (`cayley_transform`, batched, is
@@ -55,7 +58,7 @@ from . import linalg
 from .errors import ContractError, DivergedError, ShapeError
 from .fft import half_tap_dft, imag_residue, pixel_residue
 from .tensor import Tensor, as_real_array
-from .tape import EagerOps
+from .tape import EagerOps, _samples
 
 CONV_IMAG_TOL = 1e-9
 _MATERIALIZE_CAP = 1024
@@ -237,27 +240,20 @@ def _require_real(name: str, worst: float) -> None:
 
 
 def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
-    """The reflector applied to the half-plane spectrum of the padded `x`,
-    (m, c, B); `x` is (B, c, s, s) or feature-major (c s^2, B)."""
+    """The reflector applied to the half-plane spectrum of the padded
+    feature-major batch `x` (c s^2, B), (m, c, B)."""
     _require_real("kernel", op.kernel_imag)
     _require_real("input", _imag_max(ops.value(x)))
     return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size, geom.spatial))
 
 
-def _image(ops, yf, geom: ConvGeometry, flat: bool):
-    """The real image of a half-plane spectrum, (B, c, s_out, s_out), or
-    feature-major (c s_out^2, B) when `flat`."""
-    return ops.irdft_half(yf, geom.padded_size, geom.output_size, flat)
-
-
 def conv_apply(ops, v_eff, x, geom: ConvGeometry):
-    """Orthogonal circular convolution of a batched input, backend-generic.
+    """Orthogonal circular convolution of a batch, backend-generic.
 
-    `x` is (B, c, s, s), or a feature-major (c s^2, B) batch, and the
-    output takes its layout: (B, c, s_out, s_out) or (c s_out^2, B).
-    `v_eff` is either the kernel (c, n, k, k) or the `ConvOperator` that
-    `conv_prepare` built from it; both are backend values (ndarrays for the
-    eager backend, tape variables when recording).
+    `x` is a feature-major (c s^2, B) batch of s x s images, and so is the
+    output, (c s_out^2, B). `v_eff` is either the kernel (c, n, k, k) or
+    the `ConvOperator` that `conv_prepare` built from it; both are backend
+    values (ndarrays for the eager backend, tape variables when recording).
     The parameterization is applied per spatial frequency on the channel
     axis, at the half-plane representatives only; the output is the real
     inverse transform of their mirror. Both the kernel and `x` must be real
@@ -275,30 +271,28 @@ def conv_apply(ops, v_eff, x, geom: ConvGeometry):
         raise ContractError(
             f"imaginary residue {worst:.3e} exceeds {tol:.1e}; "
             "parameterization should produce a real output")
-    return _image(ops, yf, geom, xv.ndim == 2)
+    return ops.irdft_half(yf, geom.padded_size, geom.output_size)
 
 
 def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     """The dense (c s_out^2, c s^2) matrix A of a prepared conv: column j is the conv of e_j.
 
     Runs the spectral path of `conv_apply` once, on the identity basis of
-    c s^2 inputs, and returns its output feature-major, so a feature-major
-    batch x (c s^2, B) convolves as A @ x. The identity is its own
-    transpose, so it enters as an image batch, whose rows the transform
-    reads in place: the same rows, and bits, as its feature-major form.
-    Limited to c s^2 <= 1024. The gate is the basis form of
-    `conv_apply`'s: with R_j the imaginary residue that basis
-    input j leaves at each pixel class and channel (through
+    c s^2 inputs as a feature-major batch, so a feature-major batch
+    x (c s^2, B) convolves as A @ x. Limited to c s^2 <= 1024. The gate is
+    the basis form of `conv_apply`'s: with R_j the imaginary residue that
+    basis input j leaves at each pixel class and channel (through
     `fft.pixel_residue`, whose maximum is `fft.imag_residue`), it requires
     max over class and channel of sum_j |R_j| <= CONV_IMAG_TOL. Since the
     residue is linear in the input, every x then has residue at most
     CONV_IMAG_TOL * max|x|, no looser than the per-call gate.
     """
-    c, s = geom.channels_in, geom.spatial
-    dim = c * s * s
+    dim = geom.channels_in * geom.spatial ** 2
     if dim > _MATERIALIZE_CAP:
         raise ContractError(f"size cap exceeded: c*s^2 = {dim} > {_MATERIALIZE_CAP}")
-    basis = ops.constant(np.eye(dim).reshape(dim, c, s, s))
+    # the identity is its own transpose: as the transposed view of its
+    # contiguous rows, the transform reads it in place
+    basis = ops.constant(np.eye(dim).T)
     yf = _reflected_spectrum(ops, op, basis, geom)
     residue = pixel_residue(ops.value(yf), geom.padded_size)   # (classes, c, dim)
     bound = float(np.abs(residue).sum(axis=-1).max())
@@ -306,34 +300,28 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
         raise ContractError(
             f"imaginary residue over the basis {bound:.3e} exceeds {CONV_IMAG_TOL:.1e}; "
             "parameterization should produce a real output")
-    return _image(ops, yf, geom, True)
+    return ops.irdft_half(yf, geom.padded_size, geom.output_size)
 
 
 def conv_matrix_apply(ops, m, x, geom: ConvGeometry):
-    """The conv whose `conv_matrix` is `m`, applied to a real batch.
-
-    A feature-major batch (c s^2, B) is one GEMM, `m` @ x, whose input
-    adjoint on a tape is the transposed GEMM. An image batch (B, c, s, s)
-    is transposed into that batch, contiguous as a network's is, so both
-    give the same bits, and the output back into (B, c, s_out, s_out), as
-    `conv_apply` keeps the input's layout. A complex input raises
-    `ContractError`, as in `conv_apply`.
+    """The conv whose `conv_matrix` is `m`, applied to a real feature-major
+    batch (c s^2, B) as one GEMM, `m` @ x, whose input adjoint on a tape is
+    the transposed GEMM. A complex input raises `ContractError`, as in
+    `conv_apply`.
     """
-    xv = ops.value(x)
-    _require_real("input", _imag_max(xv))
-    if xv.ndim == 2:
-        return ops.matmul(m, x)
-    b, size = xv.shape[0], geom.output_size
-    cols = ops.reshape(ops.transpose(x, (1, 2, 3, 0)), (geom.channels_in * geom.spatial ** 2, b))
-    y = ops.reshape(ops.matmul(m, cols), (geom.channels_out, size, size, b))
-    return ops.transpose(y, (3, 0, 1, 2))
+    _require_real("input", _imag_max(ops.value(x)))
+    return ops.matmul(m, x)
 
 
 def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
     """Apply the orthogonal convolution parameterized by `kernel.v`.
 
-    Accepts a single (c, s, s) input or a batch (B, c, s, s). The kernel is
-    used as given.
+    Accepts a single (c, s, s) input or a batch (B, c, s, s), and returns
+    the same form; the kernel is used as given. This is the only function
+    that reads or returns image batches: the batch enters `conv_apply` as
+    the transposed view of its contiguous samples, which the transform
+    reads without a copy, and the feature-major output leaves through one
+    transposing copy.
     """
     arr = as_real_array(x)
     single = arr.ndim == 3
@@ -350,7 +338,10 @@ def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
             f"geometry {geom.channels_in}")
     if arr.shape[2] != geom.spatial or geom.kernel != kernel.ksize:
         raise ShapeError("geometry does not match input or kernel")
-    out = conv_apply(EagerOps, kernel.v, arr, geom)
+    b, c, s = arr.shape[:3]
+    size = geom.output_size
+    cols = np.ascontiguousarray(arr).reshape(b, c * s * s).T
+    out = _samples(conv_apply(EagerOps, kernel.v, cols, geom)).reshape(b, c, size, size)
     return Tensor(out[0] if single else out)
 
 

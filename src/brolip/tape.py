@@ -11,23 +11,25 @@ under which the adjoint of a complex-linear map is its conjugate transpose;
 with that convention the same matmul and reflector rules cover both dtypes.
 A real operand of a complex result (matmul, reflect, rdft_half) gets the
 real part. A real operand's adjoint in a matmul VJP is a view, not a
-conjugated copy. `rdft_half` takes an unpadded s x s signal and
-`irdft_half` returns a centred window of the p x p image: the zero pad and
-the crop are the rows and columns their tables (`fft.real_window`) keep, so
-neither is a primitive. Both multiply (B c, s^2) image rows, so each also
-takes or returns a feature-major (c s^2, B) batch, the layout the models
-use, through at most one transposing copy and with no node for it: both
-layouts multiply the same rows and give the same bits. `transpose`
-returns a contiguous copy for the same reason: a GEMM can round a
-transposed view unlike the same values stored contiguously.
+conjugated copy. The spatial primitives take and return feature-major
+(c s^2, B) batches of s x s images, the one layout of the models'
+activations. `rdft_half` takes an unpadded s x s signal and `irdft_half`
+returns a centred window of the p x p image: the zero pad and the crop
+are the rows and columns their tables (`fft.real_window`) keep, so
+neither is a primitive. Both multiply the batch's (B c, s^2) image rows,
+since their bits are those of that row order: `_samples` reads them
+through at most one transposing copy, and `_columns` writes them back
+through one, with no node for either. `transpose` returns a
+contiguous copy for the same reason: a GEMM can round a transposed view
+unlike the same values stored contiguously.
 The block reflector is one node, `t_reflect`, with a closed-form adjoint
 that reuses the forward's Cholesky factor, so no VJP factors, and the
 B = L^{-1} V^H the forward formed, if it did.
 
-The pair ops work on reshape views and move no axis: maxmin sees its axis
-as (size // 2, 2, rest), or a feature-major batch as pairs of channel
-blocks of s^2 B contiguous entries. l2_pool sees an image as
-(q, p, q, p) patches, and a feature-major batch through its image copy.
+The pair ops work on reshape views and move no axis: maxmin reads its
+input flat in runs, a feature-major batch's channels as blocks of s^2 B
+contiguous entries, and pairs consecutive runs; l2_pool sums the
+(q, p, q, p) patches of the batch's image copy.
 maxmin writes max(o, e) into each pair's even slot and min(e, o) into its
 odd one; each ufunc returns its second operand on equal inputs,
 so a tie keeps its entries in place, signed zeros included, and a NaN
@@ -272,67 +274,53 @@ def _columns(a: np.ndarray) -> np.ndarray:
     return np.ascontiguousarray(a.reshape(a.shape[0], math.prod(a.shape[1:])).T)
 
 
-def _rdft_half(a: np.ndarray, p: int, s: int | None = None) -> np.ndarray:
-    """Real images (B, c, s, s), whatever `s` says, or a feature-major
-    (c s^2, B) batch of s x s images -> the representative rows, (m, c, B),
-    of their zero-padding to the centred window of a p x p grid.
+def _rdft_half(a: np.ndarray, p: int, s: int) -> np.ndarray:
+    """A feature-major (c s^2, B) batch of real s x s images -> the
+    representative rows, (m, c, B), of their zero-padding to the centred
+    window of a p x p grid.
 
-    One real GEMM of the (B c, s^2) image rows, a reshape view of the
-    images or one transposing copy of the batch, with the
-    `fft.real_window` forward rows, whose float product is the complex
-    result viewed in place; both layouts multiply the same rows. `a` must
-    be real-valued.
+    One real GEMM of the (B c, s^2) image rows, read through `_samples`,
+    with the `fft.real_window` forward rows, whose float product is the
+    complex result viewed in place. `a` must be real-valued.
     """
-    if a.ndim == 2:
-        b, c = a.shape[1], a.shape[0] // (s * s)
-        rows = _samples(a.real).reshape(b * c, s * s)
-    else:
-        b, s = a.shape[0], a.shape[-1]
-        c = math.prod(a.shape[1:]) // (s * s)
-        rows = a.real.reshape(b * c, s * s)
+    b, c = a.shape[1], a.shape[0] // (s * s)
+    rows = _samples(a.real).reshape(b * c, s * s)
     return _freq_major(rows @ fft.real_window(p, s)[0], b, c)
 
 
-def _irdft_half(a: np.ndarray, p: int, s: int, flat: bool = False) -> np.ndarray:
+def _irdft_half(a: np.ndarray, p: int, s: int) -> np.ndarray:
     """(m, c, B) representative rows -> the centred s x s window of the real
-    p x p image of their mirror, (B, c, s, s), or feature-major (c s^2, B)
-    when `flat`."""
+    p x p image of their mirror, feature-major (c s^2, B)."""
     _, c, b = a.shape
     rows = _batch_major(a) @ fft.real_window(p, s)[1]
-    rows = rows.reshape(b, c, s, s)
-    return _columns(rows) if flat else rows
+    return _columns(rows.reshape(b, c, s * s))
 
 
-def t_rdft_half(a: Var, p: int, s: int | None = None) -> Var:
+def t_rdft_half(a: Var, p: int, s: int) -> Var:
     """Half-plane spectrum of a zero-padded real signal; the VJP is the
-    transposed GEMM with the same rows, in the input's layout.
+    transposed GEMM with the same rows.
 
     Under the real pairing the interleaved float view of a complex
     cotangent is the cotangent of the float product, so neither adjoint
     needs complex arithmetic.
     """
-    shape = a.value.shape
-    fm = len(shape) == 2
-    s = s if fm else shape[-1]
-
     def vjp(g):
         rows = _batch_major(g) @ fft.real_window(p, s)[0].T
-        rows = rows.reshape(g.shape[2], g.shape[1], s * s)
-        return (_columns(rows) if fm else rows.reshape(shape),)
+        return (_columns(rows.reshape(g.shape[2], g.shape[1], s * s)),)
 
     return a.tape._append("rdft_half", _rdft_half(a.value, p, s), (a.idx,), vjp)
 
 
-def t_irdft_half(a: Var, p: int, s: int, flat: bool = False) -> Var:
+def t_irdft_half(a: Var, p: int, s: int) -> Var:
     """Window of the real image of a half-plane spectrum; the VJP is the
     transposed GEMM with the same columns."""
     _, c, b = a.value.shape
 
     def vjp(g):
-        rows = (_samples(g.real) if flat else g.real).reshape(b * c, s * s)
+        rows = _samples(g.real).reshape(b * c, s * s)
         return (_freq_major(rows @ fft.real_window(p, s)[1].T, b, c),)
 
-    return a.tape._append("irdft_half", _irdft_half(a.value, p, s, flat), (a.idx,), vjp)
+    return a.tape._append("irdft_half", _irdft_half(a.value, p, s), (a.idx,), vjp)
 
 
 def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
@@ -374,86 +362,69 @@ def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
     return v.tape._append("reflect", y, (v.idx, x.idx), vjp)
 
 
-def _pairs(a: np.ndarray, axis: int, run: int | None = None) -> np.ndarray:
-    """`a` viewed as shape[:axis] + (pairs, 2, run).
-
-    Without `run`, entries 2i and 2i + 1 along `axis` meet on the
-    second-to-last axis, and `run` is the size of the axes after it. With
-    `run`, the entries from `axis` on are read flat in runs of `run`, and
-    runs 2i and 2i + 1 meet: a feature-major (c s^2, B) batch with run
-    s^2 B pairs its channels as (B, c, s, s) does along axis 1, each half a
-    contiguous block. Every size is spelled out so that an empty array
-    still reshapes; run 0 tiles only an empty one.
+def _pairs(a: np.ndarray, run: int) -> np.ndarray:
+    """`a` read flat in runs of `run` entries and viewed as (pairs, 2, run),
+    so that runs 2i and 2i + 1 meet: a feature-major (c s^2, B) batch with
+    run s^2 B pairs its channels, each half a contiguous block. Every size
+    is spelled out so that an empty array still reshapes; run 0 tiles only
+    an empty one.
     """
-    shape = a.shape
-    lead = shape[:axis]
-    tail = shape[len(lead):]
-    if run is None:
-        size, run = tail[0], math.prod(tail[1:])
-    else:
-        size, rest = divmod(math.prod(tail), run) if run else (0, math.prod(tail))
-        if rest:
-            raise ContractError(f"maxmin runs of {run} do not tile axis {axis}")
+    size, rest = divmod(a.size, run) if run else (0, a.size)
+    if rest:
+        raise ContractError(f"maxmin runs of {run} do not tile {a.size} entries")
     if size % 2:
-        raise ContractError(f"maxmin needs an even size along axis {axis}")
-    return a.reshape(lead + (size // 2, 2, run))
+        raise ContractError(f"maxmin needs an even number of runs, got {size} of {run}")
+    return a.reshape(size // 2, 2, run)
 
 
-def _maxmin(a: np.ndarray, axis: int, run: int | None = None) -> np.ndarray:
+def _maxmin(a: np.ndarray, run: int) -> np.ndarray:
     # the operand order is the tie rule: each ufunc returns its second
     # operand on equal inputs, so a tie keeps e even and o odd
-    pairs = _pairs(a, axis, run)
-    e, o = pairs[..., :1, :], pairs[..., 1:, :]
+    pairs = _pairs(a, run)
+    e, o = pairs[:, :1], pairs[:, 1:]
     out = np.empty(pairs.shape, a.dtype)
-    np.maximum(o, e, out=out[..., :1, :])
-    np.minimum(e, o, out=out[..., 1:, :])
+    np.maximum(o, e, out=out[:, :1])
+    np.minimum(e, o, out=out[:, 1:])
     return out.reshape(a.shape)
 
 
-def t_maxmin(a: Var, axis: int, run: int | None = None) -> Var:
-    pairs = _pairs(a.value, axis, run)
-    take_e = pairs[..., :1, :] >= pairs[..., 1:, :]
+def t_maxmin(a: Var, run: int) -> Var:
+    pairs = _pairs(a.value, run)
+    take_e = pairs[:, :1] >= pairs[:, 1:]
 
     def vjp(g):
-        gp = _pairs(g, axis, run)
-        return (np.where(take_e, gp, gp[..., ::-1, :]).reshape(g.shape),)
+        gp = _pairs(g, run)
+        return (np.where(take_e, gp, gp[:, ::-1]).reshape(g.shape),)
 
-    return a.tape._append("maxmin", _maxmin(a.value, axis, run), (a.idx,), vjp)
+    return a.tape._append("maxmin", _maxmin(a.value, run), (a.idx,), vjp)
 
 
-def _l2_pool_fwd(a: np.ndarray, p: int, s: int | None = None):
-    """Patch norms of images (..., s, s) -> (..., q, q), or of a
-    feature-major (c s^2, B) batch given `s` -> (c q^2, B). Also returns the
-    norms as (..., q, q) and the (..., q, p, q, p) patch view they were
-    summed over, of the batch's contiguous (B, c, s, s) image copy when
-    given one: numpy sums a patch's contiguous entries in an order that no
-    reduction over the batch's own layout repeats, and the copy keeps both
-    layouts' norms equal bit for bit."""
-    if s is not None:
-        c = a.shape[0] // (s * s)
-        if c * s * s != a.shape[0]:
-            raise ContractError(f"l2_pool needs {a.shape[0]} rows to hold {s} x {s} images")
-        out, norms, blocks = _l2_pool_fwd(_samples(a).reshape(-1, c, s, s), p)
-        return _columns(out), norms, blocks
-    s = a.shape[-1]
-    if a.shape[-2] != s or s % p:
-        raise ContractError(f"l2_pool needs square spatial dims divisible by {p}")
+def _l2_pool_fwd(a: np.ndarray, p: int, s: int):
+    """Norms of the p x p patches of a feature-major (c s^2, B) batch of
+    s x s images -> (c q^2, B), q = s / p. Also returns the norms as
+    (B, c, q, q) and the (B, c, q, p, q, p) patch view they were summed
+    over, of the batch's contiguous image copy (`_samples`): numpy sums a
+    patch's contiguous entries in an order that no reduction over the
+    batch's own layout repeats, and the copy keeps the image order's bits."""
+    c, rest = divmod(a.shape[0], s * s)
+    if rest or s % p:
+        raise ContractError(
+            f"l2_pool needs {a.shape[0]} rows to hold {s} x {s} images in patches of {p}")
     q = s // p
-    blocks = a.reshape(a.shape[:-2] + (q, p, q, p))
+    blocks = _samples(a).reshape(a.shape[1], c, q, p, q, p)
     norms = np.sqrt(np.sum(blocks * blocks, axis=(-3, -1)))
-    return norms, norms, blocks
+    return _columns(norms), norms, blocks
 
 
-def t_l2_pool(a: Var, p: int, s: int | None = None) -> Var:
+def t_l2_pool(a: Var, p: int, s: int) -> Var:
     out, norms, blocks = _l2_pool_fwd(a.value, p, s)
-    shape = a.value.shape
 
     def vjp(g):
         # g / norm broadcast over each patch's (q, 1, q, 1) slot; 0 on a zero patch
         safe = np.where(norms > 0, norms, 1.0)
-        coeff = ((g if s is None else g.T).reshape(norms.shape) / safe)[..., None, :, None]
+        coeff = (g.T.reshape(norms.shape) / safe)[..., None, :, None]
         grad = np.where(norms[..., None, :, None] > 0, coeff * blocks, 0.0)
-        return (grad.reshape(shape) if s is None else _columns(grad),)
+        return (_columns(grad),)
 
     return a.tape._append("l2_pool", out, (a.idx,), vjp)
 

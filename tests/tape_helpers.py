@@ -1,12 +1,28 @@
 """Taped primitives that only the tests use: readouts of complex nodes, the
 `moveaxis` forms of maxmin and l2_pool that the pair and patch views are
-checked against, and the eager zero pad and crop that the windowed DFT
-tables are checked against."""
+checked against, the eager zero pad and crop that the windowed DFT
+tables are checked against, and the image forms of the half-plane
+transforms. The oracles take and return (B, c, s, s) image batches;
+`columns` turns one into the feature-major (c s^2, B) batch that the
+primitives take, and `images` turns it back."""
+
+import math
 
 import numpy as np
 
 from brolip.errors import ContractError
+from brolip.fft import real_window
 from brolip.tape import Var
+
+
+def columns(a: np.ndarray) -> np.ndarray:
+    """A (B, ...) batch as its contiguous feature-major (d, B) form."""
+    return np.ascontiguousarray(a.reshape(a.shape[0], math.prod(a.shape[1:])).T)
+
+
+def images(a: np.ndarray, shape) -> np.ndarray:
+    """A feature-major (d, B) batch as its contiguous (B,) + `shape` form."""
+    return np.ascontiguousarray(a.T).reshape((a.shape[1],) + tuple(shape))
 
 
 def t_conj(a: Var) -> Var:
@@ -72,3 +88,37 @@ def l2_pool_vjp_reference(g: np.ndarray, norms: np.ndarray, blocks: np.ndarray,
     grad_blocks = np.moveaxis(grad_blocks, -2, -3)
     q = norms.shape[-1]
     return grad_blocks.reshape(norms.shape[:-2] + (q * p, q * p))
+
+
+def _freq_major(rows: np.ndarray, b: int, c: int) -> np.ndarray:
+    return np.ascontiguousarray(rows.view(np.complex128).reshape(b, c, -1).transpose(2, 1, 0))
+
+
+def _image_rows(a: np.ndarray) -> np.ndarray:
+    m, c, b = a.shape
+    rows = np.ascontiguousarray(a.transpose(2, 1, 0), dtype=np.complex128)
+    return rows.view(np.float64).reshape(b * c, 2 * m)
+
+
+def rdft_half_reference(x: np.ndarray, p: int) -> np.ndarray:
+    """The half-plane rows (m, c, B) of images (B, c, s, s): one GEMM of
+    their (B c, s^2) rows, read in place, with the window's forward table."""
+    b, c, s, _ = x.shape
+    return _freq_major(x.reshape(b * c, s * s) @ real_window(p, s)[0], b, c)
+
+
+def rdft_half_vjp_reference(g: np.ndarray, p: int, s: int) -> np.ndarray:
+    _, c, b = g.shape
+    return (_image_rows(g) @ real_window(p, s)[0].T).reshape(b, c, s, s)
+
+
+def irdft_half_reference(a: np.ndarray, p: int, s: int) -> np.ndarray:
+    """The centred s x s window (B, c, s, s) of the real image of half-plane
+    rows (m, c, B)."""
+    _, c, b = a.shape
+    return (_image_rows(a) @ real_window(p, s)[1]).reshape(b, c, s, s)
+
+
+def irdft_half_vjp_reference(g: np.ndarray, p: int) -> np.ndarray:
+    b, c, s, _ = g.shape
+    return _freq_major(g.reshape(b * c, s * s) @ real_window(p, s)[1].T, b, c)

@@ -156,8 +156,8 @@ def test_criterion_05_gradient_correctness():
 
     # orthogonal convolution
     geom = ConvGeometry(2, 2, 3, 3, keep_padding=False)
-    xc = rng.standard_normal((1, 2, 3, 3))
-    rc = rng.standard_normal((1, 2, 3, 3))
+    xc = rng.standard_normal((1, 2, 3, 3)).reshape(18, 1)  # feature-major
+    rc = rng.standard_normal((1, 2, 3, 3)).reshape(18, 1)
 
     def f_conv(v):
         tape = v.tape
@@ -167,19 +167,19 @@ def test_criterion_05_gradient_correctness():
 
     errs["bro_conv"] = grad_check(f_conv, rng.standard_normal((2, 1, 3, 3)), h=1e-5)
 
-    # pairwise sorting, off ties
+    # pairwise sorting of 4 features of 3 samples, off ties
     def f_maxmin(x):
-        y = t_maxmin(x, axis=0)
+        y = t_maxmin(x, 3)
         return t_sum(t_mul(y, y))
 
     errs["maxmin"] = grad_check(f_maxmin, rng.standard_normal((4, 3)), h=1e-5)
 
-    # patch pooling, off zero patches
+    # patch pooling of one 4 x 4 image, off zero patches
     def f_pool(x):
-        y = t_l2_pool(x, 2)
+        y = t_l2_pool(x, 2, 4)
         return t_sum(t_mul(y, y))
 
-    errs["l2_pool"] = grad_check(f_pool, rng.standard_normal((1, 4, 4)) + 2.0,
+    errs["l2_pool"] = grad_check(f_pool, (rng.standard_normal((1, 4, 4)) + 2.0).reshape(16, 1),
                                  h=1e-5)
 
     # losses, via their analytic gradients seeded into the tape

@@ -9,7 +9,7 @@ from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
                           conv_apply, conv_prepare, materialize_conv_matrix)
 from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_irdft_half,
                          t_mul, t_rdft_half, t_sum)
-from tape_helpers import crop_last2, pad_last2
+from tape_helpers import columns, crop_last2, images, pad_last2
 
 
 def _kernel(c, n, k, seed):
@@ -158,8 +158,8 @@ def test_kernel_one_keep_padding_equivalence():
 def _kernel_grad_error(c, s, k, n, batch, seed):
     geom = ConvGeometry(c, c, s, k, keep_padding=False)
     rng = np.random.default_rng(seed)
-    x = rng.standard_normal((batch, c, s, s))
-    readout = rng.standard_normal((batch, c, s, s))
+    x = columns(rng.standard_normal((batch, c, s, s)))
+    readout = columns(rng.standard_normal((batch, c, s, s)))
 
     def f(v):
         tape = v.tape
@@ -219,7 +219,7 @@ def test_gradient_wrt_input_matches_finite_differences():
         y = conv_apply(ops, vv, x, geom)
         return t_sum(t_mul(y, y))
 
-    x0 = rng.standard_normal((1, c, s, s))
+    x0 = columns(rng.standard_normal((1, c, s, s)))
     assert grad_check(f, x0, h=1e-6) < 1e-6
 
 
@@ -252,8 +252,8 @@ def test_tape_and_eager_paths_agree():
     eager = bro_conv_forward(kern, x, geom).array
     tape = Tape()
     ops = TapeOps(tape)
-    taped = conv_apply(ops, tape.leaf(kern.v), tape.leaf(x), geom)
-    np.testing.assert_array_equal(eager, taped.value)
+    taped = conv_apply(ops, tape.leaf(kern.v), tape.leaf(columns(x)), geom)
+    np.testing.assert_array_equal(columns(eager), taped.value)
 
 
 def test_imaginary_residue_gate_scales_with_the_input():
@@ -261,17 +261,17 @@ def test_imaginary_residue_gate_scales_with_the_input():
     # which an absolute 1e-9 gate rejected although the conv is orthogonal
     rng = np.random.default_rng(21)
     v = rng.standard_normal((8, 2, 3, 3)) / np.sqrt(8)
-    x = 1e8 * rng.standard_normal((2, 8, 8, 8))
+    x = columns(1e8 * rng.standard_normal((2, 8, 8, 8)))
     geom = ConvGeometry(8, 8, 8, 3, keep_padding=True)
     y = conv_apply(EagerOps, v, x, geom)
-    ratio = np.linalg.norm(y.reshape(2, -1), axis=1) / np.linalg.norm(x.reshape(2, -1), axis=1)
+    ratio = np.linalg.norm(y, axis=0) / np.linalg.norm(x, axis=0)
     np.testing.assert_allclose(ratio, 1.0, rtol=1e-12)
 
 
 def test_complex_kernel_still_fails_the_residue_gate():
     rng = np.random.default_rng(22)
     v = rng.standard_normal((4, 2, 3, 3)) + 1j * rng.standard_normal((4, 2, 3, 3))
-    x = rng.standard_normal((2, 4, 4, 4))
+    x = columns(rng.standard_normal((2, 4, 4, 4)))
     with pytest.raises(ContractError, match="imaginary residue"):
         conv_apply(EagerOps, v, x, ConvGeometry(4, 4, 4, 3, keep_padding=True))
 
@@ -286,14 +286,14 @@ def test_kernel_with_cancelling_imaginary_taps_is_rejected(s, operator):
     v[0, 0, 2, 2] -= 1j
     geom = ConvGeometry(4, 4, s, 3, keep_padding=True)
     kernel = conv_prepare(EagerOps, v, geom) if operator else v
-    x = np.random.default_rng(24).standard_normal((2, 4, s, s))
+    x = columns(np.random.default_rng(24).standard_normal((2, 4, s, s)))
     with pytest.raises(ContractError, match="kernel has imaginary residue"):
         conv_apply(EagerOps, kernel, x, geom)
 
 
 def test_complex_input_is_rejected():
     v = np.random.default_rng(25).standard_normal((4, 2, 3, 3))
-    x = np.random.default_rng(26).standard_normal((2, 4, 5, 5)) + 1e-3j
+    x = columns(np.random.default_rng(26).standard_normal((2, 4, 5, 5)) + 1e-3j)
     with pytest.raises(ContractError, match="input has imaginary residue"):
         conv_apply(EagerOps, v, x, ConvGeometry(4, 4, 5, 3))
 
@@ -320,10 +320,10 @@ def test_half_plane_primitives_satisfy_the_adjoint_identity(p):
 
     real = rng.standard_normal
     for s in (p, p - 2, p - 4):  # the full grid and two centred windows
-        assert _adjoint_gap(lambda a: t_rdft_half(a, p), real((2, 3, s, s)),
+        assert _adjoint_gap(lambda a: t_rdft_half(a, p, s), real((3 * s * s, 2)),
                             cplx(m, 3, 2)) < 1e-13
         assert _adjoint_gap(lambda a: t_irdft_half(a, p, s), cplx(m, 3, 2),
-                            real((2, 3, s, s))) < 1e-13
+                            real((3 * s * s, 2))) < 1e-13
 
 
 @pytest.mark.parametrize("keep", [False, True])
@@ -336,13 +336,14 @@ def test_windowed_tables_are_the_pad_and_the_crop(k, keep):
     p, size = geom.padded_size, geom.output_size
     rng = np.random.default_rng(60 + k)
     x = rng.standard_normal((3, 4, s, s))
-    xf = EagerOps.rdft_half(x, p)
-    full = EagerOps.rdft_half(pad_last2(x, kp, kp), p)
+    xf = EagerOps.rdft_half(columns(x), p, s)
+    full = EagerOps.rdft_half(columns(pad_last2(x, kp, kp)), p, p)
     np.testing.assert_allclose(xf, full, rtol=1e-13, atol=1e-13 * np.abs(full).max())
     yf = xf + 1j * rng.standard_normal(xf.shape)
     y = EagerOps.irdft_half(yf, p, size)
-    cropped = crop_last2(EagerOps.irdft_half(yf, p, p), (p - size) // 2)
-    assert y.shape == (3, 4, size, size)
+    cropped = columns(crop_last2(images(EagerOps.irdft_half(yf, p, p), (4, p, p)),
+                                 (p - size) // 2))
+    assert y.shape == (4 * size * size, 3)
     np.testing.assert_allclose(y, cropped, rtol=1e-13, atol=1e-13 * np.abs(cropped).max())
 
 
@@ -353,14 +354,14 @@ def test_gradients_match_finite_differences_at_an_odd_padded_grid():
     geom = ConvGeometry(c, c, s, k, keep_padding=False)
     rng = np.random.default_rng(34)
     kern = rng.standard_normal((c, 1, k, k))
-    readout = rng.standard_normal((2, c, s, s))
+    readout = columns(rng.standard_normal((2, c, s, s)))
 
     def f(x):
         tape = x.tape
         y = conv_apply(TapeOps(tape), tape.leaf(kern, requires_grad=False), x, geom)
         return t_sum(t_mul(y, tape.leaf(readout, requires_grad=False)))
 
-    assert grad_check(f, rng.standard_normal((2, c, s, s)), h=1e-6) < 1e-6
+    assert grad_check(f, columns(rng.standard_normal((2, c, s, s))), h=1e-6) < 1e-6
 
 
 def test_operator_holds_only_the_half_plane_rows():
@@ -381,7 +382,7 @@ def test_perturbed_self_conjugate_row_fails_the_output_gate(s):
     rng = np.random.default_rng(36 + s)
     geom = ConvGeometry(4, 4, s, 3, keep_padding=True)
     op = conv_prepare(EagerOps, rng.standard_normal((4, 2, 3, 3)), geom)
-    x = rng.standard_normal((2, 4, s, s))
+    x = columns(rng.standard_normal((2, 4, s, s)))
     conv_apply(EagerOps, op, x, geom)
     for row in real_half(geom.padded_size).self_conjugate:
         vf = op.vf.copy()
@@ -398,6 +399,6 @@ def test_taped_conv_records_a_fixed_node_count(k, nodes):
     rng = np.random.default_rng(37 + k)
     tape = Tape()
     v = tape.leaf(rng.standard_normal((4, 2, k, k)))
-    x = tape.leaf(rng.standard_normal((2, 4, 5, 5)))
+    x = tape.leaf(columns(rng.standard_normal((2, 4, 5, 5))))
     conv_apply(TapeOps(tape), v, x, ConvGeometry(4, 4, 5, k))
     assert len(tape.nodes) == nodes, [node.op for node in tape.nodes]

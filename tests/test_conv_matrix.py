@@ -12,6 +12,7 @@ from brolip.ortho import (CONV_IMAG_TOL, BroConvKernel, ConvGeometry, ConvOperat
                           _reflected_spectrum, conv_apply, conv_matrix, conv_prepare,
                           materialize_conv_matrix)
 from brolip.tape import EagerOps, Tape, TapeOps
+from tape_helpers import columns
 
 
 def _basis_bound(op, geom):
@@ -19,7 +20,7 @@ def _basis_bound(op, geom):
     inputs e_j, from the full inverse transform of each mirrored spectrum."""
     c, s, p = geom.channels_in, geom.spatial, geom.padded_size
     dim = c * s * s
-    yf = _reflected_spectrum(EagerOps, op, np.eye(dim).reshape(dim, c, s, s), geom)
+    yf = _reflected_spectrum(EagerOps, op, np.eye(dim), geom)
     full = half_plane(p).mirror(yf).reshape(p, p, c, dim)
     return np.abs(np.fft.ifft2(full, axes=(0, 1), norm="ortho").imag).sum(axis=-1).max()
 
@@ -38,7 +39,7 @@ def test_dense_path_is_the_conv(k, keep):
     size = layer.geom.output_size
     assert isinstance(m, np.ndarray) and m.shape == (c * size * size, c * s * s)
 
-    x = np.random.default_rng(50 + k).standard_normal((7, c, s, s))
+    x = columns(np.random.default_rng(50 + k).standard_normal((7, c, s, s)))
     dense = layer.forward(EagerOps, layer.params(), x)
     spectral = conv_apply(EagerOps, layer.v, x, layer.geom)
     assert np.linalg.norm(dense - spectral) <= 1e-12 * np.linalg.norm(spectral)
@@ -55,7 +56,7 @@ def test_dense_path_is_the_conv(k, keep):
 
 def test_dense_apply_rejects_a_complex_input():
     layer = _layer(4, 2, 3, 4, False, seed=60)
-    x = np.random.default_rng(61).standard_normal((2, 4, 4, 4)) + 1e-3j
+    x = columns(np.random.default_rng(61).standard_normal((2, 4, 4, 4)) + 1e-3j)
     with pytest.raises(ContractError, match="input has imaginary residue"):
         layer.forward(EagerOps, layer.params(), x)
 
@@ -86,7 +87,7 @@ def test_basis_gate_is_stricter_than_the_per_call_gate(imag, passes):
     vf[real_half(geom.padded_size).self_conjugate] += 1j * imag
     op = op._replace(vf=vf)
     dim = 4 * 4 * 4
-    conv_apply(EagerOps, op, np.eye(dim).reshape(dim, 4, 4, 4), geom)
+    conv_apply(EagerOps, op, np.eye(dim), geom)
     assert (_basis_bound(op, geom) <= CONV_IMAG_TOL) == passes
     if passes:
         conv_matrix(EagerOps, op, geom)
@@ -112,7 +113,7 @@ def test_basis_bound_dominates_every_input_residue(c, s, k, keep, imag, data):
     bound = _basis_bound(op, geom)
     x = rng.standard_normal((5, c, s, s)) * 10.0 ** rng.uniform(-3, 3)
     for xi in x:
-        worst = imag_residue(_reflected_spectrum(EagerOps, op, xi[None], geom),
+        worst = imag_residue(_reflected_spectrum(EagerOps, op, xi.reshape(-1, 1), geom),
                              geom.padded_size)
         assert worst <= bound * np.abs(xi).max() * (1 + 1e-6)
 
@@ -151,8 +152,8 @@ def test_prepare_is_dense_only_for_a_frozen_kernel_within_the_cap():
 def test_dense_path_takes_an_empty_batch():
     layer = _layer(4, 2, 3, 4, True, seed=67)
     assert isinstance(layer.prepare(EagerOps, layer.params()), np.ndarray)
-    y = layer.forward(EagerOps, layer.params(), np.zeros((0, 4, 4, 4)))
-    assert y.shape == (0, 4, 6, 6)
+    y = layer.forward(EagerOps, layer.params(), np.zeros((64, 0)))
+    assert y.shape == (4 * 6 * 6, 0)
     net = build_model(lipconvnet_mini(2, 4), seed=1)
     assert net.forward(np.zeros((0,) + net.input_shape)).shape == (0, net.classes())
 

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
+from brolip.certify import build_report
 from brolip.errors import ContractError
-from brolip.losses import (LossConfig, ce_cr_loss, cr_ramp_risks, la_loss,
-                           loss_curves, ramp_loss)
+from brolip.losses import (LossConfig, ce_cr_loss, ce_cr_loss_mean, cr_ramp_risks, la_loss,
+                           la_loss_mean, loss_curves, ramp_loss)
 
 CE_CFG = LossConfig(temperature=1.0, offset=0.0, annealing=0.0, cr_weight=0.0)
 
@@ -113,6 +114,19 @@ class TestAnnealedLoss:
             la_loss(np.zeros(1), 0, LossConfig())
         with pytest.raises(ContractError):
             LossConfig(temperature=0.0)
+
+    @pytest.mark.parametrize("labels, cause", [
+        ([0, 2, 1], "label 2 of sample 1 out of range for 2 classes"),
+        ([0, 1, -1], "label -1 of sample 2"),
+        ([0, 1], "2 labels for 3 samples"),
+    ])
+    def test_batch_labels_checked_as_in_build_report(self, labels, cause):
+        z = np.zeros((3, 2))
+        for loss in (la_loss_mean, ce_cr_loss_mean):
+            with pytest.raises(ContractError, match=cause):
+                loss(z, labels, LossConfig())
+        with pytest.raises(ContractError, match=cause):
+            build_report(z, labels, 1.0)
 
 
 class TestMarginHingeLoss:

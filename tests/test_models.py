@@ -12,71 +12,76 @@ from brolip.tape import (EagerOps, Tape, grad_check, t_l2_pool, t_maxmin, t_mul,
 
 
 class TestMaxMin:
+    # feature-major batches (d, B): run r B pairs features in blocks of r
     def test_pair_sorting(self):
-        out = EagerOps.maxmin(np.array([1.0, 2.0]), axis=0)
-        np.testing.assert_array_equal(out, [2.0, 1.0])
+        out = EagerOps.maxmin(np.array([[1.0], [2.0]]), 1)
+        np.testing.assert_array_equal(out, [[2.0], [1.0]])
 
     def test_tie(self):
-        out = EagerOps.maxmin(np.array([3.0, 3.0]), axis=0)
-        np.testing.assert_array_equal(out, [3.0, 3.0])
+        out = EagerOps.maxmin(np.array([[3.0], [3.0]]), 1)
+        np.testing.assert_array_equal(out, [[3.0], [3.0]])
 
     def test_norm_preserved_exactly(self):
         rng = np.random.default_rng(0)
-        x = rng.standard_normal((8, 5, 5))
-        out = EagerOps.maxmin(x, axis=0)
+        x = rng.standard_normal((8 * 25, 3))  # 8 channels of 5 x 5, 3 samples
+        out = EagerOps.maxmin(x, 25 * 3)
         # exact entry permutation; the norm itself only differs by the
         # float summation order
-        np.testing.assert_array_equal(np.sort(out, axis=0), np.sort(x, axis=0))
+        np.testing.assert_array_equal(np.sort(out.reshape(8, 25, 3), axis=0),
+                                      np.sort(x.reshape(8, 25, 3), axis=0))
         assert np.linalg.norm(out) == pytest.approx(np.linalg.norm(x), rel=1e-15)
 
     def test_odd_channels_rejected(self):
         with pytest.raises(ContractError):
-            EagerOps.maxmin(np.zeros(3), axis=0)
+            EagerOps.maxmin(np.zeros((3, 1)), 1)
 
     def test_gradient_off_ties(self):
         rng = np.random.default_rng(1)
         x0 = rng.standard_normal((4, 3))
 
         def f(x):
-            y = t_maxmin(x, axis=0)
+            y = t_maxmin(x, 3)
             return t_sum(t_mul(y, y))
 
         assert grad_check(f, x0, h=1e-6) < 1e-7
 
 
 class TestL2Pool:
+    # feature-major batches (c s^2, B) of s x s images
     def test_patch_one_is_abs(self):
         rng = np.random.default_rng(2)
-        x = rng.standard_normal((2, 3, 3))
-        out = EagerOps.l2_pool(x, 1)
+        x = rng.standard_normal((2, 3, 3)).reshape(18, 1)
+        out = EagerOps.l2_pool(x, 1, 3)
         np.testing.assert_allclose(out, np.abs(x))
         assert abs(np.linalg.norm(out) - np.linalg.norm(x)) < 1e-12
 
     def test_three_four_five_patch(self):
-        x = np.array([[[3.0, 4.0], [0.0, 0.0]]])
-        out = EagerOps.l2_pool(x, 2)
-        np.testing.assert_allclose(out, [[[5.0]]])
+        x = np.array([[3.0], [4.0], [0.0], [0.0]])
+        out = EagerOps.l2_pool(x, 2, 2)
+        np.testing.assert_allclose(out, [[5.0]])
 
     def test_norm_preserved(self):
         rng = np.random.default_rng(3)
-        x = rng.standard_normal((3, 6, 6))
-        out = EagerOps.l2_pool(x, 2)
-        assert out.shape == (3, 3, 3)
+        x = rng.standard_normal((3, 6, 6)).reshape(108, 1)
+        out = EagerOps.l2_pool(x, 2, 6)
+        assert out.shape == (27, 1)
         assert abs(np.linalg.norm(out) - np.linalg.norm(x)) < 1e-12
 
     def test_gradient_off_zero_patches(self):
         rng = np.random.default_rng(4)
-        x0 = rng.standard_normal((1, 4, 4)) + 2.5
+        x0 = (rng.standard_normal((1, 4, 4)) + 2.5).reshape(16, 1)
 
         def f(x):
-            y = t_l2_pool(x, 2)
+            y = t_l2_pool(x, 2, 4)
             return t_sum(t_mul(y, y))
 
         assert grad_check(f, x0, h=1e-6) < 1e-7
 
     def test_indivisible_patch_rejected(self):
-        with pytest.raises(ContractError):
-            EagerOps.l2_pool(np.zeros((1, 5, 5)), 2)
+        with pytest.raises(ContractError, match="patches of 2"):
+            EagerOps.l2_pool(np.zeros((25, 1)), 2, 5)
+        with pytest.raises(ContractError, match="24 rows"):
+            EagerOps.l2_pool(np.zeros((24, 1)), 1, 5)
 
 
 class TestBuildModel:

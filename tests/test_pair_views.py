@@ -1,9 +1,13 @@
 """maxmin and l2_pool on reshape views against their `moveaxis` forms.
 
-The views change only how the pairs and patches are addressed, so every
-output and cotangent must equal the reference bit for bit, signed zeros
-included. The one intended difference is a NaN in a pair.
+The primitives take a feature-major (d, B) batch; the references take
+its (B, ...) sample form and pair or pool along a sample axis. The views
+change only how the pairs and patches are addressed, so every output and
+cotangent must equal the reference's, transposed, bit for bit, signed
+zeros included. The one intended difference is a NaN in a pair.
 """
+
+import math
 
 import numpy as np
 import pytest
@@ -11,7 +15,7 @@ from hypothesis import given, settings, strategies as st
 
 from brolip.errors import ContractError
 from brolip.tape import EagerOps, Tape, t_l2_pool, t_maxmin
-from tape_helpers import (l2_pool_reference, l2_pool_vjp_reference,
+from tape_helpers import (columns, l2_pool_reference, l2_pool_vjp_reference,
                           maxmin_reference, maxmin_vjp_reference)
 
 
@@ -21,27 +25,33 @@ def _identical(actual, expected):
     np.testing.assert_array_equal(np.signbit(actual), np.signbit(expected))
 
 
-def _taped(op, x, arg, seed):
+def _taped(op, x, args, seed):
     tape = Tape()
     leaf = tape.leaf(x)
-    out = op(leaf, arg)
+    out = op(leaf, *args)
     return out.value, tape.backward(out, seed=seed)[leaf.idx]
 
 
 def _check_maxmin(x, axis, g):
+    """Samples `x` (B, ...) paired along their `axis`, a sample axis of
+    even size: in the feature-major batch, runs of the entries after that
+    axis times B."""
+    axis %= x.ndim
+    run = math.prod(x.shape[axis + 1:]) * x.shape[0]
     ref, take_e = maxmin_reference(x, axis)
-    _identical(EagerOps.maxmin(x, axis=axis), ref)
-    value, grad = _taped(t_maxmin, x, axis, g)
-    _identical(value, ref)
-    _identical(grad, maxmin_vjp_reference(g, take_e, axis))
+    _identical(EagerOps.maxmin(columns(x), run), columns(ref))
+    value, grad = _taped(t_maxmin, columns(x), (run,), columns(g))
+    _identical(value, columns(ref))
+    _identical(grad, columns(maxmin_vjp_reference(g, take_e, axis)))
 
 
 def _check_l2_pool(x, p, g):
     norms, blocks = l2_pool_reference(x, p)
-    _identical(EagerOps.l2_pool(x, p), norms)
-    value, grad = _taped(t_l2_pool, x, p, g)
-    _identical(value, norms)
-    _identical(grad, l2_pool_vjp_reference(g, norms, blocks, p))
+    s = x.shape[-1]
+    _identical(EagerOps.l2_pool(columns(x), p, s), columns(norms))
+    value, grad = _taped(t_l2_pool, columns(x), (p, s), columns(g))
+    _identical(value, columns(norms))
+    _identical(grad, columns(l2_pool_vjp_reference(g, norms, blocks, p)))
 
 
 def _with_ties(x, axis):
@@ -67,16 +77,18 @@ def test_maxmin_model_shapes(shape, ties):
 
 @pytest.mark.parametrize("axis", [0, 1, -1])
 def test_maxmin_any_axis(axis):
+    # `axis` of a (6, 4, 8) sample, paired in runs of 32 B, 8 B or B entries
     rng = np.random.default_rng(axis + 5)
-    x = _with_ties(rng.standard_normal((6, 4, 8)), axis)
-    _check_maxmin(x, axis, rng.standard_normal(x.shape))
+    sample_axis = axis + 1 if axis >= 0 else axis
+    x = _with_ties(rng.standard_normal((3, 6, 4, 8)), sample_axis)
+    _check_maxmin(x, sample_axis, rng.standard_normal(x.shape))
 
 
 def test_maxmin_signed_zero_ties_keep_slots():
     # +0/-0 and -0/+0 compare equal: the even slot keeps the first entry
-    x = np.array([0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 3.0, 3.0])
-    _check_maxmin(x, 0, np.arange(8.0))
-    np.testing.assert_array_equal(np.signbit(EagerOps.maxmin(x, axis=0)),
+    x = np.array([[0.0, -0.0, -0.0, 0.0, -0.0, -0.0, 3.0, 3.0]])
+    _check_maxmin(x, 1, np.arange(8.0)[None])
+    np.testing.assert_array_equal(np.signbit(EagerOps.maxmin(columns(x), 1)).ravel(),
                                   [False, True, True, False, True, True, False, False])
 
 
@@ -86,20 +98,20 @@ def test_maxmin_empty_batch(shape):
     _check_maxmin(x, 1, np.zeros(shape))
 
 
-def test_maxmin_odd_size_message_unchanged():
-    with pytest.raises(ContractError, match="maxmin needs an even size along axis 1"):
-        EagerOps.maxmin(np.zeros((2, 3)), axis=1)
-    with pytest.raises(ContractError, match="along axis -1"):
-        t_maxmin(Tape().leaf(np.zeros((2, 5))), axis=-1)
+def test_maxmin_odd_run_count_rejected():
+    with pytest.raises(ContractError, match="maxmin needs an even number of runs, got 3"):
+        EagerOps.maxmin(np.zeros((3, 2)), 2)
+    with pytest.raises(ContractError, match="even number of runs, got 5"):
+        t_maxmin(Tape().leaf(np.zeros((5, 2))), 2)
 
 
 def test_maxmin_nan_reaches_both_slots():
     # each ufunc propagates a NaN operand; the `where` form put it in one
     # slot only, chosen by the failed comparison
-    x = np.array([[np.nan, 1.0, 2.0, 5.0], [1.0, np.nan, 4.0, 3.0]])
-    expected = np.array([[np.nan, np.nan, 5.0, 2.0], [np.nan, np.nan, 4.0, 3.0]])
-    np.testing.assert_array_equal(EagerOps.maxmin(x, axis=1), expected)
-    np.testing.assert_array_equal(t_maxmin(Tape().leaf(x), 1).value, expected)
+    x = columns(np.array([[np.nan, 1.0, 2.0, 5.0], [1.0, np.nan, 4.0, 3.0]]))
+    expected = columns(np.array([[np.nan, np.nan, 5.0, 2.0], [np.nan, np.nan, 4.0, 3.0]]))
+    np.testing.assert_array_equal(EagerOps.maxmin(x, 2), expected)
+    np.testing.assert_array_equal(t_maxmin(Tape().leaf(x), 2).value, expected)
 
 
 @pytest.mark.parametrize("p", [1, 2, 3, 6])
@@ -124,20 +136,19 @@ def test_l2_pool_empty_batch():
 
 @st.composite
 def _pair_inputs(draw):
-    ndim = draw(st.integers(1, 4))
-    axis = draw(st.integers(-ndim, ndim - 1))
-    shape = draw(st.lists(st.integers(0, 4), min_size=ndim, max_size=ndim))
-    shape[axis] = 2 * draw(st.integers(1, 3))
-    size = int(np.prod(shape))
+    # B samples of c channels, each a run of `run` entries
+    c = 2 * draw(st.integers(1, 3))
+    run, b = draw(st.integers(0, 4)), draw(st.integers(0, 4))
+    size = b * c * run
     # a small value set makes ties and signed-zero pairs common
     values = st.sampled_from([0.0, -0.0, 1.0, -1.0, 2.5, -2.5, 1e-300])
     x = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
     g = np.array(draw(st.lists(values, min_size=size, max_size=size)), dtype=float)
-    return x.reshape(shape), axis, g.reshape(shape)
+    return x.reshape(b, c, run), g.reshape(b, c, run)
 
 
 @settings(derandomize=True, deadline=None, max_examples=60, database=None)
 @given(_pair_inputs())
 def test_maxmin_matches_reference_on_random_shapes(case):
-    x, axis, g = case
-    _check_maxmin(x, axis, g)
+    x, g = case
+    _check_maxmin(x, 1, g)

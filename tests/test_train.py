@@ -173,6 +173,32 @@ class TestPgdAttack:
         with pytest.raises(ContractError, match="finite"):
             pgd_attack(_mini_net(), np.zeros((2, 4, 4)), 0, radius, 5)
 
+    @pytest.mark.parametrize("labels, cause", [
+        ([0, -1, 1, 0], "label -1 of sample 1 out of range for 2 classes"),
+        ([5, 0, 1, 0], "label 5 of sample 0 out of range for 2 classes"),
+        ([0, 1, 0], "3 labels for 4 samples"),
+        (1, "1 labels for 4 samples"),
+    ], ids=["negative", "past-the-classes", "too-few", "scalar-for-a-batch"])
+    def test_bad_labels_rejected_before_the_first_step(self, labels, cause):
+        net = _mini_net()
+        with pytest.raises(ContractError, match=cause):
+            pgd_attack(net, np.zeros((4, 2, 4, 4)), labels, 0.5, 3)
+        assert net._prepared is None  # rejected before any forward
+
+    def test_a_single_sample_takes_one_label(self):
+        net = _mini_net()
+        x = np.random.default_rng(8).standard_normal((2, 4, 4))
+        np.testing.assert_array_equal(pgd_attack(net, x, 1, 0.5, 3),
+                                      pgd_attack(net, x, [1], 0.5, 3))
+        with pytest.raises(ContractError, match="2 labels for 1 samples"):
+            pgd_attack(net, x, [1, 0], 0.5, 3)
+        with pytest.raises(ContractError, match="label 2 of sample 0"):
+            pgd_attack(net, x, 2, 0.5, 3)
+
+    def test_negative_steps_rejected(self):
+        with pytest.raises(ContractError, match="steps must be non-negative, got -1"):
+            pgd_attack(_mini_net(), np.zeros((2, 4, 4)), 0, 0.5, -1)
+
 
 class TestMarginShaping:
     @pytest.mark.parametrize("seed,data_seed", [(0, 100), (2, 102)])
