@@ -8,10 +8,9 @@ losses through a small reverse-mode tape. A CLI exposes verification,
 training, certification, loss diagnostics, and wall-time benchmarks.
 """
 
-from .certify import (CertificationReport, LipschitzModel, SampleRecord,
-                      accuracy_radius_curve, build_report, certified_radius,
-                      compose_lipschitz, lln_certified_radius, margin,
-                      radius_stats)
+from .certify import (CertificationReport, SampleRecord, accuracy_radius_curve,
+                      build_report, certified_radius, compose_lipschitz,
+                      lln_certified_radius, margin, radius_stats)
 from .checkpoint import load_checkpoint, save_checkpoint
 from .data import toy_dataset
 from .errors import (ContractError, DivergedError, FormatError, ShapeError,

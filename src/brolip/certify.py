@@ -8,9 +8,15 @@ the per-pair constant improves to L * ||w_t - w_j||, giving the sharper
 head-aware radius implemented here.
 
 `build_report` certifies a whole (N, C) batch with array operations and
-holds the result as columns in `CertificationReport`. The per-sample
-functions `margin`, `certified_radius` and `lln_certified_radius` are the
-reference it is tested against, bit for bit; it does not call them.
+holds the result in `CertificationReport`, whose four columns (true
+label, prediction, margin, radius) are the only form a certificate takes:
+the report is built from them, `save` writes them and `load` reads a file
+straight back into them. `records` and `SampleRecord` are a per-sample
+view derived from the columns. The per-sample functions `margin`,
+`certified_radius` and `lln_certified_radius` are the reference
+`build_report` is tested against, bit for bit; it does not call them.
+`compose_lipschitz` multiplies the (kind, constant) pairs of a network's
+layers into the bound L.
 """
 
 from __future__ import annotations
@@ -78,21 +84,10 @@ def lln_certified_radius(logits, t: int, head_rows, l_backbone: float) -> float:
     return max(0.0, best)
 
 
-@dataclass
-class LipschitzModel:
-    """Ordered (operator kind, Lipschitz constant) pairs of one network."""
-
-    layers: list[tuple[str, float]]
-
-    @property
-    def composed_bound(self) -> float:
-        return compose_lipschitz(self)
-
-
-def compose_lipschitz(model: LipschitzModel) -> float:
-    """Product of the per-layer constants."""
+def compose_lipschitz(layers) -> float:
+    """Product of the constants of (operator kind, Lipschitz constant) pairs."""
     bound = 1.0
-    for kind, constant in model.layers:
+    for kind, constant in layers:
         if not constant > 0:
             raise ContractError(f"layer {kind!r} has non-positive constant")
         bound *= constant
@@ -144,25 +139,14 @@ class CertificationReport:
     """Per-sample certificates as four read-only columns, plus the aggregates.
 
     `true_label`, `predicted`, `margin` and `radius` are 1-D arrays with
-    one entry per sample. `records` presents the same columns as a tuple
-    of `SampleRecord`, rebuilt on each access.
+    one entry per sample, copied from the array-likes given. They must be
+    of equal length, no radius may be negative, and a misclassified sample
+    must have radius 0 (`ContractError` otherwise). `records` presents the
+    same columns as a tuple of `SampleRecord`, rebuilt on each access.
     """
 
-    def __init__(self, records, lipschitz_bound: float, curve=None):
-        recs = list(records)
-        self._set_columns([r.true_label for r in recs], [r.predicted for r in recs],
-                          [r.margin for r in recs], [r.radius for r in recs])
-        self.lipschitz_bound = lipschitz_bound
-        self.curve = [] if curve is None else curve
-
-    @classmethod
-    def from_columns(cls, true_label, predicted, margin, radius,
-                     lipschitz_bound: float, curve=None) -> "CertificationReport":
-        report = cls((), lipschitz_bound, curve)
-        report._set_columns(true_label, predicted, margin, radius)
-        return report
-
-    def _set_columns(self, true_label, predicted, margin, radius) -> None:
+    def __init__(self, true_label, predicted, margin, radius,
+                 lipschitz_bound: float, curve=None):
         true_label, predicted = _column(true_label, np.int64), _column(predicted, np.int64)
         margin, radius = _column(margin, np.float64), _column(radius, np.float64)
         if not true_label.shape == predicted.shape == margin.shape == radius.shape:
@@ -173,6 +157,8 @@ class CertificationReport:
             raise ContractError("misclassified sample with positive radius")
         self.true_label, self.predicted = true_label, predicted
         self.margin, self.radius = margin, radius
+        self.lipschitz_bound = lipschitz_bound
+        self.curve = [] if curve is None else curve
 
     @property
     def records(self) -> tuple[SampleRecord, ...]:
@@ -214,11 +200,11 @@ class CertificationReport:
             header["unbounded"] = unbounded
         with open(path, "w", encoding="utf-8") as fh:
             fh.write(json.dumps(header, allow_nan=False) + "\n")
-            for rec in self.records:
+            for t, p, m, r in zip(self.true_label.tolist(), self.predicted.tolist(),
+                                  self.margin.tolist(), self.radius.tolist()):
                 fh.write(json.dumps({
-                    "true": rec.true_label, "pred": rec.predicted,
-                    "margin": rec.margin,
-                    "radius": None if rec.radius == math.inf else rec.radius},
+                    "true": t, "pred": p, "margin": m,
+                    "radius": None if r == math.inf else r},
                     allow_nan=False) + "\n")
 
     @classmethod
@@ -233,27 +219,40 @@ class CertificationReport:
             raise FormatError(f"bad report header: {exc}") from exc
         if header.get("version") != REPORT_VERSION:
             raise FormatError(f"unsupported report version {header.get('version')}")
-        records = []
+        true_label, predicted, margin, radius = [], [], [], []
         for ln in lines[1:]:
             try:
                 raw = json.loads(ln)
             except json.JSONDecodeError as exc:
                 raise FormatError(f"bad report record: {exc}") from exc
+            true_label.append(int(raw["true"]))
+            predicted.append(int(raw["pred"]))
+            margin.append(float(raw["margin"]))
             # null, or the bare Infinity of earlier files, is an unbounded radius
-            radius = math.inf if raw["radius"] is None else float(raw["radius"])
-            records.append(SampleRecord(int(raw["true"]), int(raw["pred"]),
-                                        float(raw["margin"]), radius))
-        if len(records) != header.get("count"):
+            radius.append(math.inf if raw["radius"] is None else float(raw["radius"]))
+        if len(true_label) != header.get("count"):
             raise FormatError("record count does not match header")
         curve = [(float(r), float(a)) for r, a in header.get("curve", [])]
-        return cls(records, float(header["lipschitz_bound"]), curve)
+        return cls(true_label, predicted, margin, radius,
+                   float(header["lipschitz_bound"]), curve)
+
+
+def check_grid(grid) -> np.ndarray:
+    """`grid` as a 1-D float64 array of radii. Raises `ContractError`
+    unless every radius is finite and non-negative and they ascend: a NaN
+    would pass a sortedness check, and neither it nor inf can be saved in
+    a report's strict-JSON header."""
+    radii = np.asarray(grid, dtype=np.float64).reshape(-1)
+    if not np.all(np.isfinite(radii) & (radii >= 0)) or np.any(np.diff(radii) < 0):
+        raise ContractError("radius grid must be finite, non-negative and ascending, "
+                            f"got {radii.tolist()}")
+    return radii
 
 
 def accuracy_radius_curve(report: CertificationReport, grid) -> list[tuple[float, float]]:
-    """Fraction of samples that are correct and certified at each grid radius."""
-    radii = np.asarray(grid, dtype=np.float64).reshape(-1)
-    if np.any(np.diff(radii) < 0):
-        raise ContractError("radius grid must be sorted ascending")
+    """Fraction of samples that are correct and certified at each radius of
+    the grid (`check_grid`)."""
+    radii = check_grid(grid)
     if not report.true_label.size:
         return [(float(r), 0.0) for r in radii]
     eps = report.radii()
@@ -316,8 +315,7 @@ def build_report(logits, labels, lipschitz_bound: float, head_rows=None,
     else:
         # 0 / d is +0.0, the scalar path's radius for m <= 0
         radius = np.where(m > 0, m, 0.0) / (math.sqrt(2.0) * lipschitz_bound)
-    report = CertificationReport.from_columns(labels, pred, m, radius,
-                                              float(lipschitz_bound))
+    report = CertificationReport(labels, pred, m, radius, float(lipschitz_bound))
     if grid is not None:
         report.curve = accuracy_radius_curve(report, grid)
     return report

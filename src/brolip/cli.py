@@ -15,7 +15,7 @@ import numpy as np
 
 from . import bench as benchmod
 from . import checkpoint, losses
-from .certify import accuracy_radius_curve, build_report
+from .certify import build_report
 from .data import toy_dataset
 from .errors import ContractError, DivergedError, FormatError, SingularParameter
 from .linalg import eigvals_sym
@@ -203,13 +203,12 @@ def cmd_certify(args) -> int:
     x, y = toy_dataset(args.dataset, args.n, d, args.data_seed,
                        classes=net.classes(), delta=args.delta)
     logits = net.forward(x)
-    report = build_report(logits, y, net.backbone_bound(), head_rows=net.head_rows())
-    curve = accuracy_radius_curve(report, args.radius_grid)
-    fracs = [a for _, a in curve]
+    report = build_report(logits, y, net.backbone_bound(), head_rows=net.head_rows(),
+                          grid=args.radius_grid)
+    fracs = [a for _, a in report.curve]
     if any(b > a + 1e-12 for a, b in zip(fracs, fracs[1:])):
         print("certified-accuracy curve is not non-increasing", file=sys.stderr)
         return 1
-    report.curve = curve
     report.save(args.out)
     med, var, skew = report.stats()
     print(f"clean accuracy {report.clean_accuracy():.4f}; radius median {med:.4f}, "

@@ -16,16 +16,14 @@ _BLOCK_ROWS = 4096
 
 
 def toy_dataset(kind: str, n: int, d: int, seed: int, *, classes: int = 2,
-                delta: float = 6.0, sigma: float = 1.0,
-                radii: tuple[float, float] = (1.0, 2.0),
-                ring_sigma: float = 0.1, ambient_sigma: float = 0.05,
-                anchor_dim: int | None = None):
+                delta: float = 6.0, sigma: float = 1.0):
     """Return (inputs (n, d), labels (n,)) drawn deterministically from seed.
 
-    `two_rings` places one constant coordinate (default at index d // 2)
-    alongside the annuli: the networks here carry no bias terms, so a
-    radial threshold is only learnable against such a fixed reference
-    scale. Pass anchor_dim=-1 to disable it.
+    `two_rings` puts annuli of radii 1 and 2 (radial noise 0.1) in
+    coordinates 0 and 1 over ambient noise 0.05, and for d > 2 sets
+    coordinate max(2, d // 2) to the constant 1: the networks here carry no
+    bias terms, so a radial threshold is only learnable against such a
+    fixed reference scale.
     """
     if n < 0 or d <= 0:
         raise ContractError("need n >= 0 and d > 0")
@@ -51,15 +49,11 @@ def toy_dataset(kind: str, n: int, d: int, seed: int, *, classes: int = 2,
         labels = np.arange(n) % 2
         rng.shuffle(labels)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)
-        r = np.asarray(radii)[labels] + ring_sigma * rng.standard_normal(n)
-        x = ambient_sigma * rng.standard_normal((n, d))
+        r = np.array([1.0, 2.0])[labels] + 0.1 * rng.standard_normal(n)
+        x = 0.05 * rng.standard_normal((n, d))
         x[:, 0] += r * np.cos(theta)
         x[:, 1] += r * np.sin(theta)
-        if anchor_dim is None:
-            anchor_dim = d // 2 if d > 2 else -1
-        if anchor_dim >= 0:
-            if anchor_dim < 2:
-                raise ContractError("anchor cannot overwrite the ring coordinates")
-            x[:, anchor_dim] = 1.0
+        if d > 2:
+            x[:, max(2, d // 2)] = 1.0
         return x, labels.astype(np.int64)
     raise ContractError(f"unknown dataset kind {kind!r}")

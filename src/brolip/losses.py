@@ -61,16 +61,23 @@ def check_labels(labels, samples: int, classes: int) -> np.ndarray:
     """`labels` as int64 class indices, one per sample, (samples,).
 
     Raises `ContractError` when there are not `samples` of them, or naming
-    the first sample whose label lies outside [0, classes).
+    the first sample whose label is not an integer value (such as 0.9, NaN
+    or inf) or lies outside [0, classes). Every labelled entry point reads
+    its labels here, so none truncates a fractional label.
     """
-    t = np.asarray(labels, dtype=np.int64).reshape(-1)
+    t = np.asarray(labels).reshape(-1)
     if t.size != samples:
         raise ContractError(f"{t.size} labels for {samples} samples")
+    if t.dtype.kind not in "biu":
+        t = as_real_array(t)
+        bad = np.flatnonzero(~(np.isfinite(t) & (t == np.floor(t))))
+        if bad.size:
+            raise ContractError(f"label {t[bad[0]]} of sample {bad[0]} is not an integer")
     bad = np.flatnonzero((t < 0) | (t >= classes))
     if bad.size:
         raise ContractError(f"label {t[bad[0]]} of sample {bad[0]} "
                             f"out of range for {classes} classes")
-    return t
+    return t.astype(np.int64, copy=False)
 
 
 def _check_logits(z: np.ndarray, t) -> np.ndarray:

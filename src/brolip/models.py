@@ -39,7 +39,7 @@ from itertools import takewhile
 import numpy as np
 
 from . import linalg
-from .certify import LipschitzModel, compose_lipschitz
+from .certify import compose_lipschitz
 from .errors import ContractError
 from .ortho import (BroConvKernel, BroParam, ConvGeometry, ConvOperator, conv_apply,
                     conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel)
@@ -303,20 +303,18 @@ class Network:
                 out.append((i, name, arr))
         return out
 
-    def lipschitz_model(self) -> LipschitzModel:
-        return LipschitzModel([(l.kind, l.lipschitz) for l in self.layers])
-
     def backbone_bound(self) -> float:
         """Composed constant of the layers before the head."""
         backbone = takewhile(lambda l: l.kind != "lln_head", self.layers)
-        return compose_lipschitz(LipschitzModel([(l.kind, l.lipschitz) for l in backbone]))
+        return compose_lipschitz((l.kind, l.lipschitz) for l in backbone)
 
     def head_rows(self):
-        """Unit-normalized head rows as applied, or None without a head."""
-        last = self.layers[-1] if self.layers else None
-        if last is None or last.kind != "lln_head":
+        """The unit-normalized head rows the forward applies: the head's
+        read-only operator from `prepare()`, the same array object. None
+        without a head."""
+        if not self.layers or self.layers[-1].kind != "lln_head":
             return None
-        return EagerOps.row_normalize(last.w)
+        return self.prepare()[-1]
 
     def classes(self) -> int:
         last = self.layers[-1]

@@ -184,16 +184,15 @@ class ConvOperator(NamedTuple):
     `conv_prepare` straight from the k x k taps; it is a backend value (a
     tape variable when recorded). `factor` is the Cholesky factor of each
     frequency's Gram vf^H vf, (m, n, n), built from the taps' pairwise
-    products rather than from `vf` (`linalg.gram_factor_taps`), and
-    `kernel_imag` the kernel's largest imaginary magnitude; both are plain
-    data, computed once from the kernel's value. Applying the operator, or
-    differentiating it, never refactors. `conv_apply` requires
-    `kernel_imag` to be 0: the half plane holds only for a real kernel.
+    products rather than from `vf` (`linalg.gram_factor_taps`), plain data
+    computed once from the kernel's value. Applying the operator, or
+    differentiating it, never refactors. `conv_prepare` builds one only for
+    a real kernel: the half plane holds only for a conjugate-symmetric
+    spectrum.
     """
 
     vf: object
     factor: np.ndarray
-    kernel_imag: float
 
 
 def tap_spectrum(ops, v, size: int):
@@ -218,13 +217,15 @@ def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
     vf^H vf are not formed from the spectrum: `linalg.gram_factor_taps`
     sums the taps' pairwise products V_t^H V_t' with the cached weights
     `half_tap_pairs(p, k)` and factors the result. It raises
+    `ContractError` for a complex kernel, before either is computed,
     `DivergedError` for a non-finite kernel and `SingularParameter` when a
     frequency's spectrum loses column rank.
     """
     size = geom.padded_size
     value = ops.value(v_eff)
+    _require_real("kernel", _imag_max(value))
     vf = tap_spectrum(ops, v_eff, size)
-    return ConvOperator(vf, linalg.gram_factor_taps(value, size), _imag_max(value))
+    return ConvOperator(vf, linalg.gram_factor_taps(value, size))
 
 
 def _imag_max(a: np.ndarray) -> float:
@@ -242,7 +243,6 @@ def _require_real(name: str, worst: float) -> None:
 def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
     """The reflector applied to the half-plane spectrum of the padded
     feature-major batch `x` (c s^2, B), (m, c, B)."""
-    _require_real("kernel", op.kernel_imag)
     _require_real("input", _imag_max(ops.value(x)))
     return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size, geom.spatial))
 

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import losses
-from .certify import build_report
+from .certify import build_report, check_grid
 from .errors import ContractError, DivergedError
 from .losses import LossConfig
 from .models import Network
@@ -47,6 +47,7 @@ class TrainConfig:
             raise ContractError(f"unknown schedule {self.schedule!r}")
         if self.batch_size < 1 or self.epochs < 0:
             raise ContractError("batch_size >= 1 and epochs >= 0 required")
+        check_grid(self.radii)  # evaluate reads its fractions off this grid's curve
 
 
 @dataclass
@@ -71,15 +72,12 @@ def _lr_at(cfg: TrainConfig, epoch: int) -> float:
 
 
 def evaluate(net: Network, x, y, radii) -> EpochRecord:
-    """Eager evaluation: accuracy, mean margin, certified accuracy per radius."""
-    logits = net.forward(x)
-    labels = np.asarray(y, dtype=np.int64)
-    report = build_report(logits, labels, net.backbone_bound(),
-                          head_rows=net.head_rows())
-    eps = report.radii()
-    correct = report.correct()
-    certified = {f"{r:g}": float(np.mean(correct & (eps >= r))) for r in radii}
-    return EpochRecord(-1, float("nan"), float(np.mean(correct)),
+    """Eager evaluation: accuracy, mean margin, and certified accuracy at
+    each of the ascending `radii`, read from the report's curve."""
+    report = build_report(net.forward(x), y, net.backbone_bound(),
+                          head_rows=net.head_rows(), grid=radii)
+    certified = {f"{r:g}": frac for r, frac in report.curve}
+    return EpochRecord(-1, float("nan"), float(np.mean(report.correct())),
                        float(np.mean(report.margin)), certified, float("nan"))
 
 
@@ -87,11 +85,9 @@ def train(net: Network, data, cfg: TrainConfig) -> TrainLog:
     """Minibatch SGD through the tape; returns the per-epoch log."""
     x, y = data
     x = as_real_array(x)
-    labels = np.asarray(y, dtype=np.int64).reshape(-1)
     if x.shape[0] == 0:
         raise ContractError("empty training set")
-    if x.shape[0] != labels.shape[0]:
-        raise ContractError("inputs and labels disagree on sample count")
+    labels = losses.check_labels(y, x.shape[0], net.classes())
     loss_fn = LOSS_KINDS[cfg.loss]
     rng = np.random.default_rng(cfg.seed)
     params = net.parameters()

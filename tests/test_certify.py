@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from brolip.certify import (CertificationReport, LipschitzModel, SampleRecord,
+from brolip.certify import (CertificationReport, SampleRecord,
                             accuracy_radius_curve, build_report,
                             certified_radius, compose_lipschitz,
                             lln_certified_radius, margin, radius_stats)
@@ -76,18 +76,18 @@ class TestHeadAwareRadius:
 
 class TestComposition:
     def test_examples(self):
-        assert compose_lipschitz(LipschitzModel([("a", 1.0)] * 3)) == 1.0
-        model = LipschitzModel([("a", 2.0), ("b", 0.5), ("c", 3.0)])
-        assert compose_lipschitz(model) == pytest.approx(3.0)
+        assert compose_lipschitz([("a", 1.0)] * 3) == 1.0
+        layers = [("a", 2.0), ("b", 0.5), ("c", 3.0)]
+        assert compose_lipschitz(layers) == pytest.approx(3.0)
 
     def test_positive_constants_required(self):
         with pytest.raises(ContractError):
-            compose_lipschitz(LipschitzModel([("a", 0.0)]))
+            compose_lipschitz([("a", 0.0)])
 
     def test_empirical_ratio_never_exceeds_bound(self):
         from brolip.models import build_model, lipconvnet_mini
         net = build_model(lipconvnet_mini(channels=2, spatial=4, classes=2), seed=0)
-        bound = compose_lipschitz(net.lipschitz_model())
+        bound = compose_lipschitz((l.kind, l.lipschitz) for l in net.layers)
         assert bound == 1.0
         rng = np.random.default_rng(1)
         x1 = rng.standard_normal((1000, 2, 4, 4))
@@ -129,10 +129,10 @@ class TestRadiusStats:
 
 
 def _report(radii, correct):
-    recs = [SampleRecord(0, 0 if ok else 1, 1.0 if ok else -1.0,
-                         r if ok else 0.0)
-            for r, ok in zip(radii, correct)]
-    return CertificationReport(recs, 1.0)
+    correct = np.asarray(correct, dtype=bool)
+    return CertificationReport(np.zeros(correct.size), np.where(correct, 0, 1),
+                               np.where(correct, 1.0, -1.0),
+                               np.where(correct, radii, 0.0), 1.0)
 
 
 class TestAccuracyRadiusCurve:
@@ -164,6 +164,13 @@ class TestAccuracyRadiusCurve:
         with pytest.raises(ContractError):
             accuracy_radius_curve(rep, [0.5, 0.1])
 
+    @pytest.mark.parametrize("grid", [[0.1, float("nan"), -1.0], [-0.1, 0.0], [0.1, float("inf")]])
+    def test_grid_radius_that_is_not_finite_and_non_negative_rejected(self, grid):
+        # a NaN slips past a sortedness check (this curve would read 1, 0, 1),
+        # and a report cannot save NaN or inf in its strict-JSON header
+        with pytest.raises(ContractError, match="finite, non-negative and ascending"):
+            build_report(np.array([[2.0, 0.0], [0.0, 1.0]]), [0, 1], 1.0, grid=grid)
+
 
 class TestReportAssembly:
     def test_misclassified_samples_get_zero_radius(self):
@@ -185,10 +192,12 @@ class TestReportAssembly:
             build_report(z, [0, 1], 1.0)
 
     def test_invariant_enforced(self):
-        with pytest.raises(ContractError):
-            CertificationReport([SampleRecord(0, 1, -1.0, 0.5)], 1.0)
-        with pytest.raises(ContractError):
-            CertificationReport([SampleRecord(0, 0, 1.0, -0.1)], 1.0)
+        with pytest.raises(ContractError, match="misclassified"):
+            CertificationReport([0], [1], [-1.0], [0.5], 1.0)
+        with pytest.raises(ContractError, match="negative"):
+            CertificationReport([0], [0], [1.0], [-0.1], 1.0)
+        with pytest.raises(ContractError, match="differ in length"):
+            CertificationReport([0, 0], [0, 0], [1.0, 1.0], [0.5], 1.0)
 
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)

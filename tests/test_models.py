@@ -4,11 +4,17 @@ import numpy as np
 import pytest
 
 from brolip import linalg
+from brolip.certify import compose_lipschitz
 from brolip.errors import ContractError
 from brolip.models import (LayerSpec, _reflector, build_model, bronet_mini,
                            lipconvnet_mini)
 from brolip.tape import (EagerOps, Tape, grad_check, t_l2_pool, t_maxmin, t_mul,
                          t_sum)
+
+
+def _composed_bound(net):
+    """The composed constant of every layer, the head included."""
+    return compose_lipschitz((l.kind, l.lipschitz) for l in net.layers)
 
 
 class TestMaxMin:
@@ -87,15 +93,24 @@ class TestL2Pool:
 class TestBuildModel:
     def test_head_only_is_unit_bound_linear_classifier(self):
         net = build_model([LayerSpec("lln_head", {"classes": 3, "d_in": 5})], seed=0)
-        assert net.lipschitz_model().composed_bound == 1.0
+        assert _composed_bound(net) == 1.0
         rows = net.head_rows()
         np.testing.assert_allclose(np.linalg.norm(rows, axis=1), 1.0, atol=1e-12)
         x = np.random.default_rng(1).standard_normal((4, 5))
         np.testing.assert_allclose(net.forward(x), x @ rows.T, atol=1e-12)
 
+    def test_head_rows_are_the_operator_the_forward_applies(self):
+        net = build_model(lipconvnet_mini(channels=2, spatial=4, classes=3), seed=4)
+        rows = net.head_rows()
+        assert rows is net.prepare()[-1] and not rows.flags.writeable
+        want = EagerOps.row_normalize(net.layers[-1].w)
+        assert np.array_equal(rows.view(np.uint64), want.view(np.uint64))
+        headless = build_model([LayerSpec("l2_pool", {"p": 2})], seed=0, input_shape=(2, 4, 4))
+        assert headless.head_rows() is None
+
     def test_lipconvnet_mini_bound_exactly_one(self):
         net = build_model(lipconvnet_mini(channels=2, spatial=4, classes=2), seed=0)
-        assert net.lipschitz_model().composed_bound == 1.0
+        assert _composed_bound(net) == 1.0
         kinds = [l.kind for l in net.layers]
         assert kinds == ["bro_conv", "maxmin", "bro_conv", "maxmin",
                          "semi_ortho", "lln_head"]
@@ -175,7 +190,7 @@ class TestBuildModel:
 
     def test_bronet_mini_assembles(self):
         net = build_model(bronet_mini(channels=2, spatial=4, classes=2), seed=2)
-        assert net.lipschitz_model().composed_bound == 1.0
+        assert _composed_bound(net) == 1.0
         out = net.forward(np.random.default_rng(3).standard_normal((5, 2, 4, 4)))
         assert out.shape == (5, 2)
 
@@ -190,7 +205,7 @@ class TestBuildModel:
 class TestEndToEndNormControl:
     def test_thousand_random_pairs_within_bound(self):
         net = build_model(bronet_mini(channels=2, spatial=4, classes=2), seed=7)
-        bound = net.lipschitz_model().composed_bound
+        bound = _composed_bound(net)
         rng = np.random.default_rng(8)
         x1 = rng.standard_normal((1000, 2, 4, 4))
         x2 = x1 + 0.3 * rng.standard_normal((1000, 2, 4, 4))

@@ -6,9 +6,9 @@ import pytest
 from brolip.certify import build_report
 from brolip.data import toy_dataset
 from brolip.errors import ContractError, DivergedError
-from brolip.losses import LossConfig
+from brolip.losses import LossConfig, ce_cr_loss_mean, ce_loss_mean, la_loss_mean
 from brolip.models import LayerSpec, build_model, bronet_mini, lipconvnet_mini
-from brolip.train import TrainConfig, train, pgd_attack
+from brolip.train import TrainConfig, evaluate, train, pgd_attack
 
 BLOBS = dict(kind="blobs", n=128, d=32, seed=11)
 
@@ -54,6 +54,14 @@ class TestToyDatasets:
         assert abs(np.median(r[y == 0]) - 1.0) < 0.1
         assert abs(np.median(r[y == 1]) - 2.0) < 0.1
         assert np.all(x[:, 4] == 1.0)  # constant reference coordinate
+
+    def test_rings_in_three_dimensions_anchor_the_third(self):
+        # d // 2 = 1 would overwrite a ring coordinate; the anchor goes to 2
+        x, y = toy_dataset("two_rings", 400, 3, seed=4)
+        assert np.all(x[:, 2] == 1.0)
+        r = np.linalg.norm(x[:, :2], axis=1)
+        assert abs(np.median(r[y == 0]) - 1.0) < 0.1
+        assert abs(np.median(r[y == 1]) - 2.0) < 0.1
 
     def test_empty_set_rejected_by_trainer(self):
         x, y = toy_dataset("blobs", 0, 8, seed=0)
@@ -131,6 +139,33 @@ class TestTrainer:
             TrainConfig(schedule="linear")
         with pytest.raises(ContractError):
             TrainConfig(batch_size=0)
+        for radii in [(0.3, 0.1), (-0.1, 0.2), (float("nan"),), (0.1, float("inf"))]:
+            with pytest.raises(ContractError, match="finite, non-negative and ascending"):
+                TrainConfig(radii=radii)
+
+
+_LABELLED = {
+    "build_report": lambda net, x, y: build_report(net.forward(x), y, 1.0),
+    "pgd_attack": lambda net, x, y: pgd_attack(net, x, y, 0.3, 2),
+    "la_loss_mean": lambda net, x, y: la_loss_mean(net.forward(x), y, LossConfig()),
+    "ce_cr_loss_mean": lambda net, x, y: ce_cr_loss_mean(net.forward(x), y, LossConfig()),
+    "ce_loss_mean": lambda net, x, y: ce_loss_mean(net.forward(x), y, LossConfig()),
+    "train": lambda net, x, y: train(net, (x, y), TrainConfig(epochs=1)),
+    "evaluate": lambda net, x, y: evaluate(net, x, y, (0.1,)),
+}
+
+
+@pytest.mark.parametrize("bad, shown", [(0.9, "0.9"), (np.nan, "nan"), (np.inf, "inf")])
+@pytest.mark.parametrize("entry", sorted(_LABELLED))
+def test_non_integer_labels_are_rejected(entry, bad, shown):
+    # a cast to int64 would run on the truncated labels 0 and 1 instead
+    net = _mini_net()
+    before = [p.copy() for _, _, p in net.parameters()]
+    x = np.random.default_rng(9).standard_normal((3, 2, 4, 4))
+    with pytest.raises(ContractError, match=f"label {shown} of sample 1 is not an integer"):
+        _LABELLED[entry](net, x, [1.0, bad, 1.7])
+    for (_, _, p), b in zip(net.parameters(), before):
+        np.testing.assert_array_equal(p, b)
 
 
 class TestPgdAttack:
