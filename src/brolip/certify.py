@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .losses import check_labels, margins_and_runners
+from .losses import check_logits, margins_and_runners
 from .tensor import as_real_array
 
 REPORT_VERSION = 1
@@ -209,32 +209,45 @@ class CertificationReport:
 
     @classmethod
     def load(cls, path) -> "CertificationReport":
+        """Read a file written by `save`. A malformed file raises
+        `FormatError`, which names the line at fault for a bad header or
+        record: one that is not a JSON object, lacks or mistypes a field,
+        or holds a radius no report can (negative, or positive for a
+        misclassified sample)."""
         with open(path, "r", encoding="utf-8") as fh:
-            lines = [ln for ln in fh.read().splitlines() if ln.strip()]
+            lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
         if not lines:
             raise FormatError("empty report file")
+        (at, head), records = lines[0], lines[1:]
         try:
-            header = json.loads(lines[0])
-        except json.JSONDecodeError as exc:
-            raise FormatError(f"bad report header: {exc}") from exc
-        if header.get("version") != REPORT_VERSION:
-            raise FormatError(f"unsupported report version {header.get('version')}")
+            header = json.loads(head)
+            version = header.get("version")
+            if version == REPORT_VERSION:
+                bound = float(header["lipschitz_bound"])
+                curve = [(float(r), float(a)) for r, a in header.get("curve", [])]
+        except (ValueError, LookupError, TypeError, AttributeError) as exc:
+            raise FormatError(f"bad report header on line {at}: {exc!r}") from exc
+        if version != REPORT_VERSION:
+            raise FormatError(f"unsupported report version {version}")
         true_label, predicted, margin, radius = [], [], [], []
-        for ln in lines[1:]:
+        for at, ln in records:
             try:
                 raw = json.loads(ln)
-            except json.JSONDecodeError as exc:
-                raise FormatError(f"bad report record: {exc}") from exc
-            true_label.append(int(raw["true"]))
-            predicted.append(int(raw["pred"]))
-            margin.append(float(raw["margin"]))
-            # null, or the bare Infinity of earlier files, is an unbounded radius
-            radius.append(math.inf if raw["radius"] is None else float(raw["radius"]))
+                t, p, m = int(raw["true"]), int(raw["pred"]), float(raw["margin"])
+                # null, or the bare Infinity of earlier files, is an unbounded radius
+                r = math.inf if raw["radius"] is None else float(raw["radius"])
+            except (ValueError, LookupError, TypeError) as exc:
+                raise FormatError(f"bad report record on line {at}: {exc!r}") from exc
+            if not r >= 0 or (p != t and r != 0.0):
+                raise FormatError(f"report record on line {at} has radius {r} for "
+                                  f"true label {t}, prediction {p}")
+            true_label.append(t)
+            predicted.append(p)
+            margin.append(m)
+            radius.append(r)
         if len(true_label) != header.get("count"):
             raise FormatError("record count does not match header")
-        curve = [(float(r), float(a)) for r, a in header.get("curve", [])]
-        return cls(true_label, predicted, margin, radius,
-                   float(header["lipschitz_bound"]), curve)
+        return cls(true_label, predicted, margin, radius, bound, curve)
 
 
 def check_grid(grid) -> np.ndarray:
@@ -292,14 +305,11 @@ def build_report(logits, labels, lipschitz_bound: float, head_rows=None,
     `margin`, `certified_radius` and `lln_certified_radius` bit for bit.
     """
     z = as_real_array(logits)
-    if z.ndim != 2 or z.shape[1] < 2:
-        raise ContractError(f"need at least two classes, got logits shape {z.shape}")
-    n, c = z.shape
-    labels = check_labels(labels, n, c)
+    labels = check_logits(z, labels)
     if head_rows is not None:
         rows = as_real_array(head_rows)
-        if rows.ndim != 2 or rows.shape[0] != c:
-            raise ContractError(f"head rows {rows.shape} do not match {c} logits")
+        if rows.ndim != 2 or rows.shape[0] != z.shape[1]:
+            raise ContractError(f"head rows {rows.shape} do not match {z.shape[1]} logits")
     if not lipschitz_bound > 0:
         raise ContractError("Lipschitz bound must be positive")
     finite = np.isfinite(z)

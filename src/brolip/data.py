@@ -46,6 +46,8 @@ def toy_dataset(kind: str, n: int, d: int, seed: int, *, classes: int = 2,
     if kind == "two_rings":
         if d < 2:
             raise ContractError("two_rings needs d >= 2")
+        if classes != 2:
+            raise ContractError(f"two_rings has 2 classes, got classes={classes}")
         labels = np.arange(n) % 2
         rng.shuffle(labels)
         theta = rng.uniform(0.0, 2.0 * np.pi, size=n)

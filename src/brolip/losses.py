@@ -80,8 +80,9 @@ def check_labels(labels, samples: int, classes: int) -> np.ndarray:
     return t.astype(np.int64, copy=False)
 
 
-def _check_logits(z: np.ndarray, t) -> np.ndarray:
-    """The labels `t` of (B, K) logits `z`, checked by `check_labels`."""
+def check_logits(z: np.ndarray, t) -> np.ndarray:
+    """The labels `t` of (B, K) logits `z`, checked by `check_labels`.
+    Raises `ContractError` unless `z` is 2-D with at least two classes."""
     if z.ndim != 2 or z.shape[1] < 2:
         raise ContractError(f"need at least two classes, got logits shape {z.shape}")
     return check_labels(t, *z.shape)
@@ -89,7 +90,7 @@ def _check_logits(z: np.ndarray, t) -> np.ndarray:
 
 def _la_batch(z: np.ndarray, t: np.ndarray, cfg: LossConfig):
     """Per-sample annealed loss values and gradients for a (B, K) batch."""
-    t = _check_logits(z, t)
+    t = check_logits(z, t)
     b, k = z.shape
     rows = np.arange(b)
     u = z.copy()
@@ -102,16 +103,13 @@ def _la_batch(z: np.ndarray, t: np.ndarray, cfg: LossConfig):
     log_pt = np.log(pt)
     beta = cfg.annealing
 
-    anneal = one_minus ** beta if beta else np.ones_like(pt)
+    # at beta = 0, x ** 0.0 is exactly 1 and lead is a signed zero, so the
+    # bracket is exactly -1: plain cross-entropy at temperature T
+    anneal = one_minus ** beta
     losses = -cfg.temperature * anneal * log_pt
-
-    if beta:
-        with np.errstate(divide="ignore", invalid="ignore"):
-            lead = beta * pt * one_minus ** (beta - 1.0) * log_pt
-        lead = np.where(one_minus > 0, lead, 0.0)
-        bracket = lead - anneal
-    else:
-        bracket = -np.ones_like(pt)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        lead = beta * pt * one_minus ** (beta - 1.0) * log_pt
+    bracket = np.where(one_minus > 0, lead, 0.0) - anneal
     onehot = np.zeros_like(z)
     onehot[rows, t] = 1.0
     grads = bracket[:, None] * (onehot - p)
@@ -143,7 +141,7 @@ def margins_and_runners(z: np.ndarray, t: np.ndarray):
 
 
 def _ce_cr_batch(z: np.ndarray, t: np.ndarray, cfg: LossConfig):
-    t = _check_logits(z, t)
+    t = check_logits(z, t)
     b = z.shape[0]
     rows = np.arange(b)
     p = _softmax_rows(z)
@@ -226,10 +224,7 @@ def loss_curves(cfg: LossConfig, grid) -> list[tuple[float, ...]]:
             raise ContractError("curve grid must lie strictly inside (0, 1)")
         om = 1.0 - p
         la = -temp * om ** beta * np.log(p)
-        if beta:
-            la_d = temp * beta * om ** (beta - 1.0) * np.log(p) - temp * om ** beta / p
-        else:
-            la_d = -temp / p
+        la_d = temp * beta * om ** (beta - 1.0) * np.log(p) - temp * om ** beta / p
         ce = -np.log(p)
         margin = np.log(p / om)
         cecr = ce - gamma * max(margin, 0.0)

@@ -3,7 +3,10 @@
 Every layer kind here carries Lipschitz constant exactly one: orthogonal
 convolutions and dense reflectors preserve norms, channel-pairwise
 max/min sorting permutes entries, patchwise l2 pooling contracts, and
-truncated reflectors are semi-orthogonal. Layer math is written against
+truncated reflectors are semi-orthogonal. Both dense kinds are one class,
+`BroDenseLayer`, on an m x n `BroParam`: `bro_dense` applies the whole
+m x m reflector (`ortho.reflector`), `semi_ortho` its leading d_out x d_in
+block, m = max(d_out, d_in). Layer math is written against
 the twin op backends, so one implementation serves eager inference and
 taped training. Each layer splits into `prepare(ops, params)`, which
 builds its parameter-side operator, and `apply(ops, operator, x)`;
@@ -20,8 +23,9 @@ larger one, keeps the per-frequency operator.
 Activations travel between layers feature-major, (d, B), one column per
 sample, from the network's input to its (C, B) logits; `Network` takes
 its input as the transposed view of the contiguous samples, and `forward`
-hands the logits back as (B, C). A dense layer prepares its weight W
-itself and applies W x. maxmin pairs channel blocks of s^2 B contiguous
+hands the logits back as (B, C). A dense layer (`bro_dense`,
+`semi_ortho`, `lln_head`) prepares its d_out x d_in weight W itself and
+applies W x. maxmin pairs channel blocks of s^2 B contiguous
 entries, so each half of a pair is one run. A layer that needs the image
 shape recorded it at build time and passes it to its primitive, which
 takes only this layout and reads the batch's image rows itself. No layer
@@ -38,11 +42,11 @@ from itertools import takewhile
 
 import numpy as np
 
-from . import linalg
 from .certify import compose_lipschitz
 from .errors import ContractError
 from .ortho import (BroConvKernel, BroParam, ConvGeometry, ConvOperator, conv_apply,
-                    conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel)
+                    conv_matrix, conv_matrix_apply, conv_prepare, identity_kernel,
+                    reflector)
 from .tape import EagerOps, Tape, TapeOps, Var
 from .tensor import as_real_array
 
@@ -72,13 +76,6 @@ class LayerSpec:
     args: dict = field(default_factory=dict)
 
 
-def _reflector(ops, veff, m):
-    """W = I - 2 V (V^T V)^{-1} V^T as backend ops (m x m): the reflector
-    applied to the identity."""
-    factor = linalg.gram_factor(ops.value(veff))
-    return ops.reflect(veff, factor, ops.constant(np.eye(m)))
-
-
 def _constants(ops, operator):
     """A prepared operator (None, an array, or a `ConvOperator`) with its
     backend values as constants."""
@@ -95,6 +92,9 @@ class _Layer:
 
     lipschitz = 1.0
 
+    def params(self):
+        return {}
+
     def prepare(self, ops, p):
         return None
 
@@ -103,11 +103,16 @@ class _Layer:
 
 
 class _Linear(_Layer):
-    """Dense-style layer whose operator is its weight matrix W, applied to a
-    feature-major batch as W x."""
+    """Dense-style layer whose operator is its d_out x d_in weight matrix W,
+    applied to a feature-major batch as W x."""
 
     def apply(self, ops, w, x):
         return ops.matmul(w, x)
+
+    def out_shape(self, shape):
+        if math.prod(shape) != self.d_in:
+            raise ContractError(f"{self.kind} layer expects {self.d_in} inputs, got {shape}")
+        return (self.d_out,)
 
 
 class _ResidualReflector(_Layer):
@@ -170,42 +175,26 @@ class BroConvLayer(_ResidualReflector):
 
 
 class BroDenseLayer(_ResidualReflector, _Linear):
-    kind = "bro_dense"
+    """Dense block reflector of an m x n parameter: `bro_dense` applies the
+    whole m x m reflector, `semi_ortho` its leading d_out x d_in block,
+    m = max(d_out, d_in), which is semi-orthogonal."""
+
+    def __init__(self, kind, v, alpha, residual: bool, depth_norm: float,
+                 d_out: int, d_in: int):
+        super().__init__(v, alpha, residual, depth_norm)
+        if self.v.shape[0] != max(d_out, d_in):
+            raise ContractError(f"parameter rows {self.v.shape[0]} must equal "
+                                f"max(d_out, d_in) = {max(d_out, d_in)}")
+        self.kind, self.d_out, self.d_in = kind, d_out, d_in
 
     def identity(self):
         return np.eye(*self.v.shape)
 
     def prepare(self, ops, p):
-        return _reflector(ops, self.effective(ops, p), self.v.shape[0])
-
-    def out_shape(self, shape):
-        if int(np.prod(shape)) != self.v.shape[0]:
-            raise ContractError(f"dense layer of width {self.v.shape[0]} fed {shape}")
-        return (self.v.shape[0],)
-
-
-class SemiOrthoLayer(_Linear):
-    kind = "semi_ortho"
-
-    def __init__(self, v, d_out: int, d_in: int):
-        self.v = as_real_array(v)
-        self.d_out = d_out
-        self.d_in = d_in
-        if self.v.shape[0] != max(d_out, d_in):
-            raise ContractError("parameter rows must equal max(d_out, d_in)")
-
-    def params(self):
-        return {"v": self.v}
-
-    def prepare(self, ops, p):
-        w = _reflector(ops, p["v"], self.v.shape[0])
+        w = reflector(ops, self.effective(ops, p))
+        if self.d_out == self.d_in == self.v.shape[0]:
+            return w
         return ops.slice2d(w, self.d_out, self.d_in)
-
-    def out_shape(self, shape):
-        if int(np.prod(shape)) != self.d_in:
-            raise ContractError(f"semi-orthogonal layer expects {self.d_in} inputs, "
-                                f"got {shape}")
-        return (self.d_out,)
 
 
 class MaxMinLayer(_Layer):
@@ -217,9 +206,6 @@ class MaxMinLayer(_Layer):
 
     def __init__(self, run: int):
         self.run = run
-
-    def params(self):
-        return {}
 
     def apply(self, ops, operator, x):
         return ops.maxmin(x, self.run * ops.value(x).shape[1])
@@ -239,9 +225,6 @@ class L2PoolLayer(_Layer):
         self.patch = patch
         self.spatial = spatial
 
-    def params(self):
-        return {}
-
     def apply(self, ops, operator, x):
         return ops.l2_pool(x, self.patch, self.spatial)
 
@@ -259,17 +242,13 @@ class LLNHead(_Linear):
 
     def __init__(self, w):
         self.w = as_real_array(w)
+        self.d_out, self.d_in = self.w.shape
 
     def params(self):
         return {"w": self.w}
 
     def prepare(self, ops, p):
         return ops.row_normalize(p["w"])
-
-    def out_shape(self, shape):
-        if int(np.prod(shape)) != self.w.shape[1]:
-            raise ContractError(f"head expects {self.w.shape[1]} features, got {shape}")
-        return (self.w.shape[0],)
 
 
 def _freeze(operator):
@@ -422,20 +401,15 @@ def _make_layer(spec: LayerSpec, in_shape, rng) -> tuple[object, tuple]:
         geom = ConvGeometry(c, c, in_shape[1], k, keep_padding=keep)
         v = BroConvKernel(rng.standard_normal((c, n, k, k)) / np.sqrt(c)).v
         layer = BroConvLayer(v, a.get("alpha", 1.0), geom, residual, depth_norm)
-    elif kind == "bro_dense":
-        m, n = a["m"], a["n"]
-        residual = bool(a.get("residual", False))
-        depth_norm = float(a.get("depth_norm", 1.0))
+    elif kind in ("bro_dense", "semi_ortho"):
+        square = kind == "bro_dense"
+        d_out, d_in = (a["m"], a["m"]) if square else (a["d_out"], a["d_in"])
+        m = max(d_out, d_in)
+        n = a["n"] if square else a.get("n", max(1, m // 4))
+        res = a if square else {}  # semi_ortho reads no residual key
         v = BroParam(rng.standard_normal((m, n)) / np.sqrt(m)).v
-        layer = BroDenseLayer(v, a.get("alpha", 1.0), residual, depth_norm)
-    elif kind == "semi_ortho":
-        d_in, d_out = a["d_in"], a["d_out"]
-        c = max(d_in, d_out)
-        n = a.get("n", max(1, c // 4))
-        if n >= c:
-            raise ContractError("semi-orthogonal rank must stay below max dim")
-        v = rng.standard_normal((c, n)) / np.sqrt(c)
-        layer = SemiOrthoLayer(v, d_out, d_in)
+        layer = BroDenseLayer(kind, v, res.get("alpha", 1.0), bool(res.get("residual", False)),
+                              float(res.get("depth_norm", 1.0)), d_out, d_in)
     elif kind == "maxmin":
         layer = MaxMinLayer(math.prod(in_shape[1:]))
     elif kind == "l2_pool":

@@ -4,7 +4,8 @@ The central construction is the block reflector W = I - 2 V (V^T V)^{-1} V^T
 built from an unconstrained low-rank parameter V: W is symmetric, orthogonal,
 and involutory, with n eigenvalues -1 and m-n eigenvalues +1. One primitive
 applies it, `linalg.reflect` (taped: `tape.t_reflect`), from the Cholesky
-factor L of V^H V; the dense W is that primitive applied to the identity,
+factor L of V^H V; the dense W (`reflector`, which the dense layers and
+`block_reflector` run) is that primitive applied to the identity,
 which goes through B = L^{-1} V^H as I - 2 B^H B. The
 convolutional variant applies it per spatial frequency after a unitary 2D
 DFT, which yields a real, orthogonal multi-channel circular convolution.
@@ -148,14 +149,23 @@ class ConvGeometry:
         return self.padded_size if self.keep_padding else self.spatial
 
 
+def reflector(ops, v):
+    """The m x m block reflector W = I - 2 V (V^T V)^{-1} V^T of an m x n
+    backend value V, the one dense-reflector builder: `ops.reflect` applied
+    to the identity, from the Cholesky factor of V's value, so a recorded W
+    differentiates through `tape.t_reflect` without refactoring. Rank
+    deficiency raises `SingularParameter`."""
+    value = ops.value(v)
+    return ops.reflect(v, linalg.gram_factor(value), ops.constant(np.eye(value.shape[0])))
+
+
 def block_reflector(v: np.ndarray) -> np.ndarray:
-    """W = I - 2 V (V^T V)^{-1} V^T for a full-column-rank matrix V.
+    """`reflector` of a full-column-rank matrix V, eagerly.
 
     Accepts square V (degenerating to -I); rank deficiency raises
     SingularParameter from the internal Cholesky factorization.
     """
-    v = as_real_array(v)
-    return linalg.reflect(v, linalg.gram_factor(v), np.eye(v.shape[0]))[0]
+    return reflector(EagerOps, as_real_array(v))
 
 
 def bro_orthogonalize(p: BroParam) -> Tensor:

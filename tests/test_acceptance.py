@@ -18,7 +18,7 @@ from brolip.models import build_model, bronet_mini, lipconvnet_mini
 from brolip.ortho import (BroConvKernel, BroParam, ConvGeometry,
                           block_reflector, bro_conv_forward,
                           bro_orthogonalize, conv_apply, lot_orthogonalize,
-                          materialize_conv_matrix)
+                          materialize_conv_matrix, reflector)
 from brolip.tape import Tape, TapeOps, grad_check, t_custom_scalar, t_l2_pool, \
     t_maxmin, t_mul, t_sum
 from brolip.train import TrainConfig, pgd_attack, train
@@ -147,8 +147,7 @@ def test_criterion_05_gradient_correctness():
     def f_dense(v):
         tape = v.tape
         ops = TapeOps(tape)
-        from brolip.models import _reflector
-        w = _reflector(ops, v, 6)
+        w = reflector(ops, v)
         r = tape.leaf(wmat, requires_grad=False)
         return t_sum(t_mul(ops.matmul(r, w), ops.matmul(r, w)))
 

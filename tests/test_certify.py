@@ -249,6 +249,22 @@ class TestReportAssembly:
             '{"true": 0, "pred": 0, "margin": 0.5, "radius": Infinity}\n')
         assert CertificationReport.load(path).radius.tolist() == [np.inf, np.inf]
 
+    @pytest.mark.parametrize("line, drop, record", [
+        (2, None, '{"true": 0, "pred": 0, "margin": 1.0}'),
+        (1, "lipschitz_bound", '{"true": 0, "pred": 0, "margin": 1.0, "radius": 0.5}'),
+        (2, None, '[1, 2]'),
+        (2, None, '{"true": 0, "pred": 1, "margin": -1.0, "radius": 0.5}')],
+        ids=["record_without_radius", "header_without_bound", "record_is_a_list",
+             "misclassified_with_radius"])
+    def test_corrupt_file_names_the_line(self, tmp_path, line, drop, record):
+        head = {"version": 1, "kind": "certification-report", "lipschitz_bound": 1.0,
+                "count": 1, "curve": []}
+        head.pop(drop, None)
+        path = tmp_path / "bad.txt"
+        path.write_text(json.dumps(head) + "\n" + record + "\n")
+        with pytest.raises(FormatError, match=f"line {line}"):
+            CertificationReport.load(path)
+
     def test_corrupted_header_rejected(self, tmp_path):
         path = tmp_path / "bad.txt"
         path.write_text("not json\n")

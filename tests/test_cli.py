@@ -4,8 +4,11 @@ import json
 
 import pytest
 
+from brolip import bench as benchmod
+from brolip.checkpoint import save_checkpoint
 from brolip.cli import main
 from brolip.losses import LOSS_CURVE_HEADER
+from brolip.models import build_model, lipconvnet_mini
 
 
 def test_ortho_check_bro_passes(capsys):
@@ -86,6 +89,16 @@ def test_bench_csv_schema(tmp_path, capsys):
     assert "monotone" in capsys.readouterr().err
 
 
+def test_bench_non_monotone_sweep_emits_the_csv_once_and_fails(tmp_path, monkeypatch):
+    monkeypatch.setattr(benchmod, "medians_non_decreasing", lambda rows: False)
+    out = tmp_path / "bench.csv"
+    rc = main(["bench", "--methods", "bro", "--c", "8", "--s", "4", "--kappa", "0.125,0.5",
+               "--reps", "10", "--out", str(out)])
+    assert rc == 1
+    lines = out.read_text().splitlines()
+    assert lines[0].startswith("method,") and len(lines) == 3
+
+
 def test_bench_full_kernel_methods_report_rank_c(tmp_path):
     # cayley and lot transform the whole c x c kernel, whatever --kappa says
     out = tmp_path / "full.csv"
@@ -155,6 +168,24 @@ def test_train_certify_round_trip(tmp_path, capsys):
     assert len(lines) == 65
     fracs = [a for _, a in head["curve"]]
     assert all(b <= a for a, b in zip(fracs, fracs[1:]))
+
+
+def test_train_on_two_rings_takes_only_two_classes(tmp_path, capsys):
+    rc = main(["train", "--dataset", "two_rings", "--classes", "3", "--n", "16",
+               "--epochs", "1", "--out", str(tmp_path / "m.ckpt")])
+    assert rc == 2
+    assert "classes=3" in capsys.readouterr().err
+    assert not (tmp_path / "m.ckpt").exists()
+
+
+def test_certify_on_two_rings_rejects_a_three_class_checkpoint(tmp_path, capsys):
+    ckpt = tmp_path / "three.ckpt"
+    save_checkpoint(build_model(lipconvnet_mini(2, 4, classes=3), 0), ckpt)
+    rc = main(["certify", "--ckpt", str(ckpt), "--dataset", "two_rings", "--n", "16",
+               "--out", str(tmp_path / "r.txt")])
+    assert rc == 2
+    assert "classes=3" in capsys.readouterr().err
+    assert not (tmp_path / "r.txt").exists()
 
 
 def test_certify_missing_checkpoint(tmp_path, capsys):

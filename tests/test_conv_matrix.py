@@ -96,7 +96,7 @@ def test_basis_gate_is_stricter_than_the_per_call_gate(imag, passes):
             conv_matrix(EagerOps, op, geom)
 
 
-@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@settings(max_examples=30)
 @given(st.integers(2, 4), st.integers(2, 5), st.sampled_from([1, 3]), st.booleans(),
        st.sampled_from([1e-8, 1e-6, 1e-4]), st.data())
 def test_basis_bound_dominates_every_input_residue(c, s, k, keep, imag, data):

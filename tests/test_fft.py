@@ -107,7 +107,7 @@ def test_non_square_rejected():
         fft2(np.zeros(5))
 
 
-@settings(derandomize=True, deadline=None, max_examples=40, database=None)
+@settings(max_examples=40)
 @given(p=st.integers(min_value=1, max_value=24))
 def test_half_plane_tables_cover_the_grid(p):
     tables = half_plane(p)

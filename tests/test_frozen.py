@@ -169,7 +169,7 @@ def _small_nets(draw):
     return build_model(specs, seed=draw(st.integers(0, 2 ** 16))), draw(st.integers(0, 2 ** 16))
 
 
-@settings(derandomize=True, deadline=None, max_examples=25, database=None)
+@settings(max_examples=25)
 @given(_small_nets(), st.sampled_from([0.1, 0.6, 2.0]))
 def test_prepared_equals_recorded_on_random_shapes(net_seed, radius):
     net, seed = net_seed

@@ -201,7 +201,7 @@ def test_gram_factor_taps_factors_the_spectrum_gram(k, s, complex_kernel):
                                atol=1e-13 * np.abs(l).max())
 
 
-@settings(derandomize=True, deadline=None, max_examples=30, database=None)
+@settings(max_examples=30)
 @given(c=st.integers(1, 16), n_frac=st.floats(0.0, 1.0), k=st.sampled_from([1, 3, 5]),
        s=st.integers(1, 6), complex_kernel=st.booleans(), seed=st.integers(0, 2 ** 16))
 def test_gram_factor_taps_property(c, n_frac, k, s, complex_kernel, seed):
@@ -211,6 +211,12 @@ def test_gram_factor_taps_property(c, n_frac, k, s, complex_kernel, seed):
     if complex_kernel:
         v = v + 1j * rng.standard_normal((c, n, k, k))
     _assert_taps_factor_the_spectrum_gram(v, s + 2 * (k // 2))
+
+
+def test_property_tests_run_under_the_shared_profile():
+    # the conftest profile supplies what a test's @settings leaves out
+    s = test_gram_factor_taps_property._hypothesis_internal_use_settings
+    assert (s.derandomize, s.deadline, s.database, s.max_examples) == (True, None, None, 30)
 
 
 def test_solve_hpd_matches_dense_solve_above_block_size():
@@ -253,7 +259,7 @@ def test_reflect_matches_the_hpd_formula_and_keeps_norms(n):
                                rtol=1e-13)
 
 
-@settings(derandomize=True, deadline=None, max_examples=60, database=None)
+@settings(max_examples=60)
 @given(m=st.integers(1, 3), c=st.integers(1, 12), n_frac=st.floats(0.0, 1.0),
        b=st.integers(1, 10), complex_v=st.booleans(), seed=st.integers(0, 2 ** 16))
 @example(m=2, c=8, n_frac=0.5, b=4, complex_v=False, seed=0)  # c = 2b

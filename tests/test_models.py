@@ -6,8 +6,8 @@ import pytest
 from brolip import linalg
 from brolip.certify import compose_lipschitz
 from brolip.errors import ContractError
-from brolip.models import (LayerSpec, _reflector, build_model, bronet_mini,
-                           lipconvnet_mini)
+from brolip.models import LayerSpec, build_model, bronet_mini, lipconvnet_mini
+from brolip.ortho import reflector
 from brolip.tape import (EagerOps, Tape, grad_check, t_l2_pool, t_maxmin, t_mul,
                          t_sum)
 
@@ -159,12 +159,27 @@ class TestBuildModel:
         with pytest.raises(ContractError, match=cause):
             build_model([spec], seed=0)
 
-    @pytest.mark.parametrize("n, cause", [
-        (0, "at least one column"), (4, "need n < m"), (6, "need n < m")])
-    def test_dense_spec_goes_through_the_param_contract(self, n, cause):
-        specs = [LayerSpec("maxmin", {}), LayerSpec("bro_dense", {"m": 4, "n": n})]
-        with pytest.raises(ContractError, match=f"layer 1 \\(bro_dense\\).*{cause}"):
+    @pytest.mark.parametrize("kind, n, cause", [
+        ("bro_dense", 0, "at least one column"), ("bro_dense", 4, "need n < m"),
+        ("bro_dense", 6, "need n < m"), ("semi_ortho", 0, "at least one column"),
+        ("semi_ortho", 4, "need n < m")],
+        ids=["0-at least one column", "4-need n < m", "6-need n < m",
+             "semi_ortho-0-at least one column", "semi_ortho-4-need n < m"])
+    def test_dense_spec_goes_through_the_param_contract(self, kind, n, cause):
+        # semi_ortho's m is max(d_in, d_out) = 4
+        args = {"m": 4, "n": n} if kind == "bro_dense" else {"d_in": 4, "d_out": 2, "n": n}
+        specs = [LayerSpec("maxmin", {}), LayerSpec(kind, args)]
+        with pytest.raises(ContractError, match=f"layer 1 \\({kind}\\).*{cause}"):
             build_model(specs, seed=0, input_shape=(4,))
+
+    def test_semi_ortho_reads_no_residual_key(self):
+        args = {"d_in": 8, "d_out": 4, "residual": True, "alpha": 0.5, "depth_norm": 2.0}
+        plain = build_model([LayerSpec("semi_ortho", {"d_in": 8, "d_out": 4})], seed=0,
+                            input_shape=(8,))
+        keyed = build_model([LayerSpec("semi_ortho", args)], seed=0, input_shape=(8,))
+        assert list(keyed.layers[0].params()) == ["v"]
+        x = np.random.default_rng(1).standard_normal((3, 8))
+        np.testing.assert_array_equal(keyed.forward(x), plain.forward(x))
 
     @pytest.mark.parametrize("kind, args, name", [
         ("bro_conv", {"c": 2, "n": -1, "k": 3, "s": 4}, "n"),
@@ -251,9 +266,9 @@ def test_taped_step_backward_never_factors(monkeypatch):
                          ids=["lipconvnet", "bronet"])
 def test_dense_reflectors_are_exactly_symmetric(specs):
     # lipconvnet's 32 x 32 semi-orthogonal and bronet's 8 x 8 dense reflectors
-    reflectors = [(layer.v, layer.v.shape[0]) for layer in build_model(specs, 0).layers
+    reflectors = [layer.v for layer in build_model(specs, 0).layers
                   if layer.kind in ("semi_ortho", "bro_dense")]
     assert reflectors
-    for v, m in reflectors:
-        w = _reflector(EagerOps, v, m)
+    for v in reflectors:
+        w = reflector(EagerOps, v)
         assert np.array_equal(w, w.T)

@@ -5,7 +5,7 @@ import pytest
 
 from brolip.errors import ContractError, DivergedError, SingularParameter
 from brolip.linalg import eigvals_sym
-from brolip.models import BroConvLayer, SemiOrthoLayer
+from brolip.models import BroConvLayer, BroDenseLayer
 from brolip.ortho import (BroParam, ConvGeometry, block_reflector, bro_orthogonalize,
                           cayley_orthogonalize, identity_kernel, lot_orthogonalize,
                           BroConvKernel)
@@ -123,7 +123,8 @@ class TestSemiOrthogonal:
     # the reflector of v, to a feature-major batch as operator @ x
     def _layer(self, c, c_out, c_in, seed):
         rng = np.random.default_rng(seed)
-        return SemiOrthoLayer(rng.standard_normal((c, c // 2)), c_out, c_in)
+        return BroDenseLayer("semi_ortho", rng.standard_normal((c, c // 2)), 1.0,
+                             False, 1.0, c_out, c_in)
 
     def _block(self, c, c_out, c_in, seed):
         layer = self._layer(c, c_out, c_in, seed)

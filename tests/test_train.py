@@ -73,6 +73,11 @@ class TestToyDatasets:
         with pytest.raises(ContractError):
             toy_dataset("spirals", 10, 4, seed=0)
 
+    @pytest.mark.parametrize("classes", [1, 3])
+    def test_two_rings_rejects_other_class_counts(self, classes):
+        with pytest.raises(ContractError, match=f"classes={classes}"):
+            toy_dataset("two_rings", 10, 8, 0, classes=classes)
+
 
 class TestTrainer:
     def test_zero_learning_rate_is_a_no_op(self):
