@@ -91,6 +91,8 @@ def lot_conv_param_transform(v: np.ndarray, s: int, iters: int) -> np.ndarray:
 
 
 def _timed(fn, reps: int) -> tuple[list[float], int, int]:
+    if reps < MIN_REPS:
+        raise ContractError(f"need at least {MIN_REPS} repetitions")
     reset_alloc_stats()
     fn()  # warmup: catches errors and measures op-layer allocations
     stats = alloc_stats()
@@ -111,8 +113,6 @@ def _result(method, phase, shape, reps, times, count, elements) -> BenchResult:
 
 def bench_dense(method: str, m: int, n: int, reps: int, iters: int = 10,
                 seed: int = 0) -> BenchResult:
-    if reps < MIN_REPS:
-        raise ContractError(f"need at least {MIN_REPS} repetitions")
     rng = np.random.default_rng(seed)
     if method == "bro":
         v = BroParam(rng.standard_normal((m, n)) / np.sqrt(m)).v
@@ -132,38 +132,35 @@ def bench_dense(method: str, m: int, n: int, reps: int, iters: int = 10,
 
 def bench_conv(method: str, c: int, s: int, k: int, n: int, reps: int,
                iters: int = 10, seed: int = 0) -> BenchResult:
-    if reps < MIN_REPS:
-        raise ContractError(f"need at least {MIN_REPS} repetitions")
     if c > MAX_CHANNELS or s > MAX_SPATIAL:
         raise ContractError(
             f"desk-scale caps are c <= {MAX_CHANNELS} and s <= {MAX_SPATIAL}")
-    rng = np.random.default_rng(seed)
-    v = rng.standard_normal((c, n, k, k)) / np.sqrt(c)
-    # cayley and lot transform the full c x c kernel, so they run at rank c
-    shape = {"c": c, "s": s, "k": k, "n": n if method == "bro" else c}
+    if method not in ("bro", "cayley", "lot"):
+        raise ContractError(f"unknown method {method!r}")
+    if method != "bro":
+        n = c  # cayley and lot transform the full c x c kernel, so they run at rank c
+    v = BroConvKernel(np.random.default_rng(seed).standard_normal((c, n, k, k)) / np.sqrt(c)).v
     if method == "bro":
-        v = BroConvKernel(v).v
         fn = lambda: bro_conv_param_transform(v, s)
     elif method == "cayley":
-        vsq = BroConvKernel(rng.standard_normal((c, c, k, k)) / np.sqrt(c)).v
-        fn = lambda: cayley_conv_param_transform(vsq, s)
-    elif method == "lot":
-        vsq = BroConvKernel(rng.standard_normal((c, c, k, k)) / np.sqrt(c)).v
-        fn = lambda: lot_conv_param_transform(vsq, s, iters)
+        fn = lambda: cayley_conv_param_transform(v, s)
     else:
-        raise ContractError(f"unknown method {method!r}")
+        fn = lambda: lot_conv_param_transform(v, s, iters)
     times, count, elements = _timed(fn, reps)
-    return _result(method, "param_transform", shape, reps, times, count, elements)
+    return _result(method, "param_transform", {"c": c, "s": s, "k": k, "n": n}, reps,
+                   times, count, elements)
+
+
+def kappa_rank(kappa: float, width: int) -> int:
+    """The rank that the rank-control factor `kappa` gives at `width`, at least 1."""
+    return max(1, int(round(kappa * width)))
 
 
 def rank_sweep(c: int, s: int, k: int, kappas, reps: int, seed: int = 0
                ) -> list[BenchResult]:
     """BRO conv parameter transform across rank-control factors."""
-    out = []
-    for kappa in kappas:
-        n = max(1, int(round(kappa * c)))
-        out.append(bench_conv("bro", c, s, k, n, reps, seed=seed))
-    return out
+    return [bench_conv("bro", c, s, k, kappa_rank(kappa, c), reps, seed=seed)
+            for kappa in kappas]
 
 
 def medians_non_decreasing(results) -> bool:

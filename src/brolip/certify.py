@@ -28,7 +28,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ContractError, FormatError
-from .losses import check_logits, margins_and_runners
+from .losses import check_logits, integer_labels, margins_and_runners
 from .tensor import as_real_array
 
 REPORT_VERSION = 1
@@ -140,21 +140,25 @@ class CertificationReport:
 
     `true_label`, `predicted`, `margin` and `radius` are 1-D arrays with
     one entry per sample, copied from the array-likes given. They must be
-    of equal length, no radius may be negative, and a misclassified sample
-    must have radius 0 (`ContractError` otherwise). `records` presents the
-    same columns as a tuple of `SampleRecord`, rebuilt on each access.
+    of equal length, labels and predictions integer values
+    (`losses.integer_labels`), no radius negative or NaN, and a
+    misclassified sample's radius 0, or `ContractError` names the first
+    sample at fault. `records` presents the same columns as a tuple of
+    `SampleRecord`, rebuilt on each access.
     """
 
     def __init__(self, true_label, predicted, margin, radius,
                  lipschitz_bound: float, curve=None):
-        true_label, predicted = _column(true_label, np.int64), _column(predicted, np.int64)
+        true_label = _column(integer_labels(true_label), np.int64)
+        predicted = _column(integer_labels(predicted, "prediction"), np.int64)
         margin, radius = _column(margin, np.float64), _column(radius, np.float64)
         if not true_label.shape == predicted.shape == margin.shape == radius.shape:
             raise ContractError("report columns differ in length")
-        if np.any(radius < 0):
-            raise ContractError("negative certified radius in report")
-        if np.any((predicted != true_label) & (radius != 0.0)):
-            raise ContractError("misclassified sample with positive radius")
+        bad = np.flatnonzero(~(radius >= 0) | ((predicted != true_label) & (radius != 0.0)))
+        if bad.size:
+            i, r = int(bad[0]), radius[bad[0]]
+            what = "negative or NaN" if not r >= 0 else "positive for a misclassified sample"
+            raise ContractError(f"certified radius {r} of sample {i} is {what}", sample=i)
         self.true_label, self.predicted = true_label, predicted
         self.margin, self.radius = margin, radius
         self.lipschitz_bound = lipschitz_bound
@@ -212,8 +216,8 @@ class CertificationReport:
         """Read a file written by `save`. A malformed file raises
         `FormatError`, which names the line at fault for a bad header or
         record: one that is not a JSON object, lacks or mistypes a field,
-        or holds a radius no report can (negative, or positive for a
-        misclassified sample)."""
+        or holds what the constructor rejects (a fractional label, a
+        negative radius, or a positive one for a misclassified sample)."""
         with open(path, "r", encoding="utf-8") as fh:
             lines = [(i, ln) for i, ln in enumerate(fh.read().splitlines(), 1) if ln.strip()]
         if not lines:
@@ -229,25 +233,22 @@ class CertificationReport:
             raise FormatError(f"bad report header on line {at}: {exc!r}") from exc
         if version != REPORT_VERSION:
             raise FormatError(f"unsupported report version {version}")
-        true_label, predicted, margin, radius = [], [], [], []
+        rows = []
         for at, ln in records:
             try:
                 raw = json.loads(ln)
-                t, p, m = int(raw["true"]), int(raw["pred"]), float(raw["margin"])
                 # null, or the bare Infinity of earlier files, is an unbounded radius
                 r = math.inf if raw["radius"] is None else float(raw["radius"])
+                rows.append((float(raw["true"]), float(raw["pred"]), float(raw["margin"]), r))
             except (ValueError, LookupError, TypeError) as exc:
                 raise FormatError(f"bad report record on line {at}: {exc!r}") from exc
-            if not r >= 0 or (p != t and r != 0.0):
-                raise FormatError(f"report record on line {at} has radius {r} for "
-                                  f"true label {t}, prediction {p}")
-            true_label.append(t)
-            predicted.append(p)
-            margin.append(m)
-            radius.append(r)
-        if len(true_label) != header.get("count"):
+        if len(rows) != header.get("count"):
             raise FormatError("record count does not match header")
-        return cls(true_label, predicted, margin, radius, bound, curve)
+        try:
+            return cls(*np.array(rows).reshape(-1, 4).T, bound, curve)
+        except ContractError as exc:  # equal columns: it names a sample
+            raise FormatError(f"bad report record on line {records[exc.sample][0]}: {exc}"
+                              ) from exc
 
 
 def check_grid(grid) -> np.ndarray:

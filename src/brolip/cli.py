@@ -19,7 +19,6 @@ from . import checkpoint, losses
 from .certify import build_report
 from .data import toy_dataset
 from .errors import ContractError, DivergedError, FormatError, SingularParameter
-from .linalg import eigvals_sym
 from .models import build_model, bronet_mini, lipconvnet_mini
 from .ortho import (BroConvKernel, BroParam, ConvGeometry, bro_conv_forward,
                     bro_orthogonalize, cayley_orthogonalize, lot_orthogonalize,
@@ -31,6 +30,24 @@ JSON_VERSION = 1
 
 def _floats(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
+
+
+def _at_least(low: int):
+    """An argparse type for a size: argparse names the flag and exits 2."""
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < low:
+            raise argparse.ArgumentTypeError(f"{value} is below {low}")
+        return value
+    parse.__name__ = f"int >= {low}"
+    return parse
+
+
+def _positive_floats(text: str) -> list[float]:
+    values = _floats(text)
+    if not values or not all(v > 0 for v in values):
+        raise argparse.ArgumentTypeError(f"{text!r} is not a list of positive values")
+    return values
 
 
 def _emit(path, text: str) -> None:
@@ -52,7 +69,7 @@ def cmd_ortho_check(args) -> int:
             w = bro_orthogonalize(BroParam(v)).array
             orth = float(np.linalg.norm(w.T @ w - np.eye(args.m)))
             sym = float(np.linalg.norm(w - w.T))
-            vals = eigvals_sym(w)
+            vals = np.linalg.eigvalsh(w)
             neg = int(np.sum(np.abs(vals + 1.0) < 1e-8))
             pos = int(np.sum(np.abs(vals - 1.0) < 1e-8))
             ok = orth < 1e-10 and sym < 1e-12 and (neg, pos) == (args.n, args.m - args.n)
@@ -101,49 +118,34 @@ def cmd_ortho_check(args) -> int:
 # ---------------------------------------------------------------------- bench
 def cmd_bench(args) -> int:
     methods = [m.strip() for m in args.methods.split(",") if m.strip()]
-    rows: list[benchmod.BenchResult] = []
-    mono = True
-    if args.m:
-        for method in methods:
-            n = max(1, int(round(args.kappa[0] * args.m))) if method == "bro" else args.m
-            rows.append(benchmod.bench_dense(method, args.m, n, args.reps,
-                                             iters=args.iters, seed=args.seed))
-    else:
-        for method in methods:
-            if method == "bro":
-                continue  # covered by the kappa sweep below
-            rows.append(benchmod.bench_conv(  # full c x c kernel: rank c
-                method, args.c, args.s, args.k, args.c, args.reps,
-                iters=args.iters, seed=args.seed))
-        if "bro" in methods:
-            sweep = benchmod.rank_sweep(args.c, args.s, args.k, args.kappa, args.reps,
+    width = args.m or args.c  # cayley and lot transform the full square parameter
+
+    def timed(method, n):
+        if args.m:
+            return benchmod.bench_dense(method, args.m, n, args.reps, iters=args.iters,
                                         seed=args.seed)
-            rows.extend(sweep)
-            mono = benchmod.medians_non_decreasing(sweep)
-            print(f"# bro kappa sweep monotone non-decreasing: {mono}", file=sys.stderr)
+        return benchmod.bench_conv(method, args.c, args.s, args.k, n, args.reps,
+                                   iters=args.iters, seed=args.seed)
+
+    rows = [timed(method, width) for method in methods if method != "bro"]
+    mono = True
+    if "bro" in methods:
+        sweep = [timed("bro", benchmod.kappa_rank(kappa, width)) for kappa in args.kappa]
+        rows.extend(sweep)
+        mono = benchmod.medians_non_decreasing(sweep)
+        print(f"# bro kappa sweep monotone non-decreasing: {mono}", file=sys.stderr)
     _emit(args.out, "\n".join([benchmod.CSV_HEADER] + [r.csv_row() for r in rows]) + "\n")
     return 0 if mono else 1
 
 
 # ---------------------------------------------------------------------- train
-def _model_specs(args):
-    if args.model == "lipconvnet":
-        return lipconvnet_mini(channels=args.channels, spatial=args.spatial,
-                               classes=args.classes, rank=args.rank)
-    return bronet_mini(channels=args.channels, spatial=args.spatial,
-                       classes=args.classes, rank=args.rank)
-
-
-def _dataset(args, d: int):
-    return toy_dataset(args.dataset, args.n, d, args.data_seed,
-                       classes=args.classes, delta=args.delta)
-
-
 def cmd_train(args) -> int:
-    specs = _model_specs(args)
-    net = build_model(specs, args.seed)
+    mini = lipconvnet_mini if args.model == "lipconvnet" else bronet_mini
+    net = build_model(mini(channels=args.channels, spatial=args.spatial,
+                           classes=args.classes, rank=args.rank), args.seed)
     d = int(np.prod(net.input_shape))
-    x, y = _dataset(args, d)
+    x, y = toy_dataset(args.dataset, args.n, d, args.data_seed,
+                       classes=args.classes, delta=args.delta)
     loss_cfg = losses.LossConfig(temperature=args.T, offset=args.xi,
                                  annealing=args.beta, cr_weight=args.gamma)
     cfg = TrainConfig(seed=args.seed, epochs=args.epochs,
@@ -254,10 +256,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     oc = sub.add_parser("ortho-check", help="verify an orthogonalization method")
     oc.add_argument("--method", choices=("bro", "cayley", "lot"), required=True)
-    oc.add_argument("--m", type=int, default=16)
-    oc.add_argument("--n", type=int, default=4)
+    oc.add_argument("--m", type=_at_least(1), default=16)
+    oc.add_argument("--n", type=_at_least(1), default=4)
     oc.add_argument("--seed", type=int, default=0)
-    oc.add_argument("--iters", type=int, default=10)
+    oc.add_argument("--iters", type=_at_least(1), default=10)
     oc.add_argument("--init", choices=("identity", "kaiming", "gaussian"),
                     default="identity")
     oc.add_argument("--json", action="store_true")
@@ -265,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     bc = sub.add_parser("bench", help="wall-time micro-benchmarks")
     bc.add_argument("--methods", default="bro")
-    bc.add_argument("--m", type=int, default=0, help="dense mode when nonzero")
-    bc.add_argument("--c", type=int, default=64)
-    bc.add_argument("--s", type=int, default=16)
-    bc.add_argument("--k", type=int, default=1)
-    bc.add_argument("--kappa", type=_floats, default="0.125,0.25,0.5,0.75")
+    bc.add_argument("--m", type=_at_least(0), default=0, help="dense mode when nonzero")
+    bc.add_argument("--c", type=_at_least(1), default=64)
+    bc.add_argument("--s", type=_at_least(1), default=16)
+    bc.add_argument("--k", type=_at_least(1), default=1)
+    bc.add_argument("--kappa", type=_positive_floats, default="0.125,0.25,0.5,0.75")
     bc.add_argument("--reps", type=int, default=10)
-    bc.add_argument("--iters", type=int, default=10)
+    bc.add_argument("--iters", type=_at_least(1), default=10)
     bc.add_argument("--seed", type=int, default=0)
     bc.add_argument("--out", default="")
     bc.set_defaults(func=cmd_bench)
@@ -317,15 +319,15 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--xi", type=float, default=2.0)
     lc.add_argument("--beta", type=float, default=5.0)
     lc.add_argument("--gamma", type=float, default=0.5)
-    lc.add_argument("--points", type=int, default=99)
+    lc.add_argument("--points", type=_at_least(1), default=99)
     lc.add_argument("--p-min", type=float, default=0.01)
     lc.add_argument("--p-max", type=float, default=0.99)
     lc.add_argument("--out", default="")
     lc.set_defaults(func=cmd_loss_curves)
 
     co = sub.add_parser("conv-oracle", help="FFT path vs materialized matrix")
-    co.add_argument("--max-c", type=int, default=8)
-    co.add_argument("--max-s", type=int, default=8)
+    co.add_argument("--max-c", type=_at_least(1), default=8)
+    co.add_argument("--max-s", type=_at_least(2), default=8)
     co.add_argument("--seed", type=int, default=0)
     co.add_argument("--tol", type=float, default=1e-8)
     co.set_defaults(func=cmd_conv_oracle)

@@ -8,6 +8,10 @@ class ShapeError(ValueError):
 class ContractError(ValueError):
     """Raised when a precondition other than a shape constraint is violated."""
 
+    def __init__(self, message="", sample=None):
+        super().__init__(message)
+        self.sample = sample  # the index of the batch entry at fault, if one is
+
 
 class SingularParameter(ArithmeticError):
     """A parameter matrix is numerically rank deficient.

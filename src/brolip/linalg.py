@@ -24,7 +24,8 @@ weights of the frequencies.
 
 All routines take and return ndarrays, accept a stack of matrices
 (leading batch axes) and work for float64 and complex128 alike; `np.conj`
-on real data is the identity. `solve_hpd` is the general Hermitian
+on real data is the identity, so `adjoint`, the library's one conjugate
+transpose, is a view of real data. `solve_hpd` is the general Hermitian
 positive-definite solve (Cholesky, then both substitutions); its callers
 pass Hermitian matrices by construction, so it checks no symmetry.
 Substitution is blocked so the heavy lifting happens in large batched
@@ -43,8 +44,9 @@ PIVOT_REL_TOL = 1e-12
 _BLOCK = 48
 
 
-def _conj_t(a: np.ndarray) -> np.ndarray:
-    # a view of a real array, so numpy computes V^T V as a symmetric product
+def adjoint(a: np.ndarray) -> np.ndarray:
+    """The conjugate transpose (batched); for a real array a view, so numpy
+    computes V^T V as a symmetric product and a real VJP copies nothing."""
     return np.swapaxes(a, -1, -2).conj()
 
 
@@ -140,10 +142,10 @@ def _substitute(l: np.ndarray, b: np.ndarray, upper: bool) -> np.ndarray:
         j1 = min(j0 + _BLOCK, n)
         if upper:
             if j1 < n:
-                x[..., j0:j1, :] -= _conj_t(l[..., j1:, j0:j1]) @ x[..., j1:, :]
+                x[..., j0:j1, :] -= adjoint(l[..., j1:, j0:j1]) @ x[..., j1:, :]
             for i in range(j1 - 1, j0 - 1, -1):
                 if i + 1 < j1:
-                    x[..., i:i + 1, :] -= _conj_t(l[..., i + 1:j1, i:i + 1]) @ x[..., i + 1:j1, :]
+                    x[..., i:i + 1, :] -= adjoint(l[..., i + 1:j1, i:i + 1]) @ x[..., i + 1:j1, :]
                 x[..., i, :] /= np.conj(l[..., i, i])[..., None]
         else:
             if j0:
@@ -179,7 +181,7 @@ def gram_factor(v: np.ndarray) -> np.ndarray:
 
     Raises SingularParameter, as `cholesky` does, when V loses column rank.
     """
-    return cholesky(_conj_t(v) @ v)
+    return cholesky(adjoint(v) @ v)
 
 
 def gram_factor_taps(v: np.ndarray, p: int) -> np.ndarray:
@@ -196,7 +198,7 @@ def gram_factor_taps(v: np.ndarray, p: int) -> np.ndarray:
     """
     c, n, k, _ = v.shape
     taps = v.transpose(0, 2, 3, 1).reshape(c, k * k * n)
-    pairs = (_conj_t(taps) @ taps).reshape(k * k, n, k * k, n)
+    pairs = (adjoint(taps) @ taps).reshape(k * k, n, k * k, n)
     pairs = pairs.transpose(0, 2, 1, 3).reshape(k ** 4, n * n)
     return cholesky((half_tap_pairs(p, k) @ pairs).reshape(-1, n, n))
 
@@ -217,23 +219,18 @@ def reflect(v: np.ndarray, factor: np.ndarray, x: np.ndarray
     The taped adjoint reuses the second output.
     """
     if v.shape[-2] < 2 * x.shape[-1]:
-        b = solve_lower(factor, _conj_t(v))
+        b = solve_lower(factor, adjoint(v))
         u = b @ x
-        y = _conj_t(b) @ u
+        y = adjoint(b) @ u
         y *= -2.0
         y += x
         return y, (b, u)
     # V^H x, conjugating the narrower operand: (x^H V)^H copies x and the
     # product instead of V when x has fewer columns than V
-    s = _conj_t(_conj_t(x) @ v) if x.shape[-1] < v.shape[-1] else _conj_t(v) @ x
+    s = adjoint(adjoint(x) @ v) if x.shape[-1] < v.shape[-1] else adjoint(v) @ x
     s = solve_lower(factor, s)  # rebinding frees V^H x before the second solve
     s = solve_upper_conj(factor, s)
     return x - 2.0 * (v @ s), (None, s)
-
-
-def eigvals_sym(w: np.ndarray) -> np.ndarray:
-    """Eigenvalues of a symmetric/Hermitian matrix, ascending."""
-    return np.linalg.eigvalsh(w)
 
 
 def cond_spd(a: np.ndarray) -> float:

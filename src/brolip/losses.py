@@ -57,27 +57,36 @@ def _softmax_rows(u: np.ndarray) -> np.ndarray:
     return e / np.sum(e, axis=-1, keepdims=True)
 
 
-def check_labels(labels, samples: int, classes: int) -> np.ndarray:
-    """`labels` as int64 class indices, one per sample, (samples,).
-
-    Raises `ContractError` when there are not `samples` of them, or naming
-    the first sample whose label is not an integer value (such as 0.9, NaN
-    or inf) or lies outside [0, classes). Every labelled entry point reads
-    its labels here, so none truncates a fractional label.
-    """
+def integer_labels(labels, name: str = "label") -> np.ndarray:
+    """`labels` flattened to int64. `ContractError`, carrying the index,
+    names the first `name` that is not an integer value (0.9, NaN, inf)."""
     t = np.asarray(labels).reshape(-1)
-    if t.size != samples:
-        raise ContractError(f"{t.size} labels for {samples} samples")
     if t.dtype.kind not in "biu":
         t = as_real_array(t)
         bad = np.flatnonzero(~(np.isfinite(t) & (t == np.floor(t))))
         if bad.size:
-            raise ContractError(f"label {t[bad[0]]} of sample {bad[0]} is not an integer")
+            i = int(bad[0])
+            raise ContractError(f"{name} {t[i]} of sample {i} is not an integer", sample=i)
+    return t.astype(np.int64, copy=False)
+
+
+def check_labels(labels, samples: int, classes: int) -> np.ndarray:
+    """`labels` as int64 class indices, one per sample, (samples,).
+
+    Raises `ContractError` when there are not `samples` of them, or naming
+    the first sample whose label is not an integer value (`integer_labels`)
+    or lies outside [0, classes). Every labelled entry point reads its
+    labels here, so none truncates a fractional label.
+    """
+    t = np.asarray(labels).reshape(-1)
+    if t.size != samples:
+        raise ContractError(f"{t.size} labels for {samples} samples")
+    t = integer_labels(t)
     bad = np.flatnonzero((t < 0) | (t >= classes))
     if bad.size:
         raise ContractError(f"label {t[bad[0]]} of sample {bad[0]} "
                             f"out of range for {classes} classes")
-    return t.astype(np.int64, copy=False)
+    return t
 
 
 def check_logits(z: np.ndarray, t) -> np.ndarray:

@@ -26,7 +26,8 @@ imaginary residue is read from the s0 self-conjugate rows of the output
 spectrum, the only rows the inverse does not pair into a real sum. The
 conv functions take and return feature-major (c s^2, B) batches, the one
 layout of the models' activations; `bro_conv_forward` alone reads and
-returns (B, c, s, s) images.
+returns (B, c, s, s) images. Every conv is prepare, then apply:
+conv_apply takes the operator conv_prepare built, never a raw kernel.
 
 Two competing constructions are provided for comparison: the Cayley
 transform of a skew-symmetrized parameter (`cayley_transform`, batched, is
@@ -116,10 +117,6 @@ class BroConvKernel:
     @property
     def channels(self) -> int:
         return self.v.shape[0]
-
-    @property
-    def rank(self) -> int:
-        return self.v.shape[1]
 
     @property
     def ksize(self) -> int:
@@ -257,22 +254,19 @@ def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
     return ops.reflect(op.vf, op.factor, ops.rdft_half(x, geom.padded_size, geom.spatial))
 
 
-def conv_apply(ops, v_eff, x, geom: ConvGeometry):
+def conv_apply(ops, op: ConvOperator, x, geom: ConvGeometry):
     """Orthogonal circular convolution of a batch, backend-generic.
 
-    `x` is a feature-major (c s^2, B) batch of s x s images, and so is the
-    output, (c s_out^2, B). `v_eff` is either the kernel (c, n, k, k) or
-    the `ConvOperator` that `conv_prepare` built from it; both are backend
-    values (ndarrays for the eager backend, tape variables when recording).
-    The parameterization is applied per spatial frequency on the channel
-    axis, at the half-plane representatives only; the output is the real
-    inverse transform of their mirror. Both the kernel and `x` must be real
-    (`ContractError` otherwise, before any transform). The imaginary part
-    the inverse of the mirror would carry, read exactly from the output
+    `op` is the `ConvOperator` that `conv_prepare` built for `geom`. `x`, a
+    backend value, is a feature-major (c s^2, B) batch of s x s images, and
+    so is the output, (c s_out^2, B). The reflector is applied per spatial
+    frequency on the channel axis, at the half-plane representatives only;
+    the output is the real inverse transform of their mirror. `x` must be
+    real (`ContractError` otherwise, before any transform). The imaginary
+    part the inverse of the mirror would carry, read exactly from the output
     spectrum's self-conjugate rows (`fft.imag_residue`) and linear in `x`,
     must stay below CONV_IMAG_TOL * max(1, max|x|).
     """
-    op = v_eff if isinstance(v_eff, ConvOperator) else conv_prepare(ops, v_eff, geom)
     yf = _reflected_spectrum(ops, op, x, geom)
     xv = ops.value(x)
     worst = imag_residue(ops.value(yf), geom.padded_size)
@@ -327,8 +321,9 @@ def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
     """Apply the orthogonal convolution parameterized by `kernel.v`.
 
     Accepts a single (c, s, s) input or a batch (B, c, s, s), and returns
-    the same form; the kernel is used as given. This is the only function
-    that reads or returns image batches: the batch enters `conv_apply` as
+    the same form; the kernel is used as given, prepared, then applied. This
+    is the only function that reads or returns image batches: the batch
+    enters `conv_apply` as
     the transposed view of its contiguous samples, which the transform
     reads without a copy, and the feature-major output leaves through one
     transposing copy.
@@ -351,7 +346,8 @@ def bro_conv_forward(kernel: BroConvKernel, x, geom: ConvGeometry) -> Tensor:
     b, c, s = arr.shape[:3]
     size = geom.output_size
     cols = np.ascontiguousarray(arr).reshape(b, c * s * s).T
-    out = _samples(conv_apply(EagerOps, kernel.v, cols, geom)).reshape(b, c, size, size)
+    op = conv_prepare(EagerOps, kernel.v, geom)
+    out = _samples(conv_apply(EagerOps, op, cols, geom)).reshape(b, c, size, size)
     return Tensor(out[0] if single else out)
 
 
@@ -361,7 +357,7 @@ def cayley_transform(v: np.ndarray) -> np.ndarray:
     I + A is always invertible for skew-Hermitian A; the solve is routed
     through the Hermitian positive-definite system I - A^2 = I + A^H A.
     """
-    a = 0.5 * (v - np.swapaxes(v, -1, -2).conj())
+    a = 0.5 * (v - linalg.adjoint(v))
     eye = np.eye(v.shape[-1])
     return linalg.solve_hpd(eye - a @ a, (eye - a) @ (eye - a))
 
@@ -386,7 +382,7 @@ def newton_iterates(v: np.ndarray, iters: int):
     """
     if iters < 1:
         raise ContractError("need at least one iteration")
-    gram = np.conj(np.swapaxes(v, -1, -2)) @ v
+    gram = linalg.adjoint(v) @ v
     fro = np.linalg.norm(gram, axis=(-2, -1), keepdims=True)
     with np.errstate(divide="ignore", invalid="ignore"):
         y = gram / fro

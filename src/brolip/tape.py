@@ -10,18 +10,18 @@ Complex cotangents follow the real-pairing convention (d/d re + i d/d im),
 under which the adjoint of a complex-linear map is its conjugate transpose;
 with that convention the same matmul and reflector rules cover both dtypes.
 A real operand of a complex result (matmul, reflect, rdft_half) gets the
-real part. A real operand's adjoint in a matmul VJP is a view, not a
-conjugated copy. The spatial primitives take and return feature-major
-(c s^2, B) batches of s x s images, the one layout of the models'
-activations. `rdft_half` takes an unpadded s x s signal and `irdft_half`
-returns a centred window of the p x p image: the zero pad and the crop
-are the rows and columns their tables (`fft.real_window`) keep, so
-neither is a primitive. Both multiply the batch's (B c, s^2) image rows,
-since their bits are those of that row order: `_samples` reads them
+real part. A VJP's conjugate transpose is `linalg.adjoint`, a view for a
+real operand, not a conjugated copy. The spatial primitives take and
+return feature-major (c s^2, B) batches of s x s images, the one layout of
+the models' activations. `rdft_half` takes an unpadded s x s signal and
+`irdft_half` returns a centred window of the p x p image: the zero pad and
+the crop are the rows and columns their tables (`fft.real_window`) keep,
+so neither is a primitive. Both multiply the batch's (B c, s^2) image
+rows, since their bits are those of that row order: `_samples` reads them
 through at most one transposing copy, and `_columns` writes them back
-through one, with no node for either. `transpose` returns a
-contiguous copy for the same reason: a GEMM can round a transposed view
-unlike the same values stored contiguously.
+through one, with no node for either. `transpose` returns a contiguous
+copy for the same reason: a GEMM can round a transposed view unlike the
+same values stored contiguously.
 The block reflector is one node, `t_reflect`, with a closed-form adjoint
 that reuses the forward's Cholesky factor, so no VJP factors, and the
 B = L^{-1} V^H the forward formed, if it did.
@@ -55,6 +55,7 @@ import numpy as np
 
 from . import fft, linalg
 from .errors import ContractError
+from .linalg import adjoint
 from .tensor import record_alloc
 
 
@@ -153,16 +154,6 @@ class Tape:
 # ---------------------------------------------------------------------------
 # Primitives. Each appends one node with its VJP closure.
 
-def _swap(a):
-    return np.swapaxes(a, -1, -2)
-
-
-def _adjoint(a):
-    """The conjugate transpose; a view for a real array, whose `conj` is
-    the array itself, so a real operand's VJP copies nothing."""
-    return _swap(a).conj()
-
-
 def _cotangent(g, real_input):
     """The cotangent of an input: its real part when the input is real."""
     return np.ascontiguousarray(g.real) if real_input else g
@@ -209,8 +200,8 @@ def t_matmul(a: Var, b: Var) -> Var:
     a_real, b_real = av.dtype != np.complex128, bv.dtype != np.complex128
 
     def vjp(g):
-        ga = _cotangent(g @ _adjoint(bv), a_real) if a_grad else None
-        gb = _cotangent(_adjoint(av) @ g, b_real) if b_grad else None
+        ga = _cotangent(g @ adjoint(bv), a_real) if a_grad else None
+        gb = _cotangent(adjoint(av) @ g, b_real) if b_grad else None
         return ga, gb
 
     return a.tape._append("matmul", av @ bv, (a.idx, b.idx), vjp)
@@ -250,7 +241,7 @@ def _batch_major(a: np.ndarray) -> np.ndarray:
 # Entries per block of `_samples`' transposing copy: 2^12 (32 KB) keeps a
 # block's source in a 48 KB L1 cache. At c s^2 = 16384, B = 16 (a 2-vCPU
 # Xeon host) the copy takes 0.29 ms against 0.80 ms unblocked and 0.40 ms
-# in blocks of 2^16; a batch of one block or less is one plain copy.
+# in blocks of 2^16; a batch that fits in one block is copied in one step.
 _SAMPLES_BLOCK = 1 << 12
 
 
@@ -261,8 +252,6 @@ def _samples(a: np.ndarray) -> np.ndarray:
     if a.T.flags["C_CONTIGUOUS"]:
         return a.T
     step = max(1, _SAMPLES_BLOCK // max(1, a.shape[1]))
-    if step >= a.shape[0]:
-        return np.ascontiguousarray(a.T)
     out = np.empty(a.shape[::-1], a.dtype)
     for i in range(0, a.shape[0], step):
         out[:, i:i + step] = a[i:i + step].T
@@ -349,14 +338,14 @@ def t_reflect(v: Var, factor: np.ndarray, x: Var) -> Var:
             gx, (_, t) = linalg.reflect(vv, factor, g)
         else:
             t = b @ g
-            gx = np.conj(_swap(b)) @ t
+            gx = adjoint(b) @ t
             gx *= -2.0
             gx += g
         if not v_grad:
             return None, _cotangent(gx, x_real) if x_grad else None
-        gv = -((g + gx) @ np.conj(_swap(kept)) + (xv + y) @ np.conj(_swap(t)))
+        gv = -((g + gx) @ adjoint(kept) + (xv + y) @ adjoint(t))
         if b is not None:  # gv L^{-1} = (L^{-H} gv^H)^H
-            gv = np.conj(_swap(linalg.solve_upper_conj(factor, np.conj(_swap(gv)))))
+            gv = adjoint(linalg.solve_upper_conj(factor, adjoint(gv)))
         return _cotangent(gv, v_real), _cotangent(gx, x_real) if x_grad else None
 
     return v.tape._append("reflect", y, (v.idx, x.idx), vjp)

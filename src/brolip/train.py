@@ -178,17 +178,16 @@ def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
     feature-major, (d, B); `delta` stays sample-major, (B, d), and each step
     copies the input gradient into that layout and turns it into the step
     in place, with the norms, in buffers allocated once per call. The result
-    takes the shape of `x`. Before the first step, `ContractError` rejects
-    a radius that is negative or not finite, a negative step count, and
-    labels that are not one class index per sample (`losses.check_labels`:
-    B of them, or one for a single sample).
+    takes the shape of `x`, flat (B, d) included. Before the first step,
+    `ContractError` rejects a radius that is negative or not finite, a
+    negative step count, and labels that are not one class index per sample
+    (`losses.check_labels`: B of them, or one for a single sample).
     """
     if not (math.isfinite(radius) and radius >= 0):
         raise ContractError(f"radius must be finite and non-negative, got {radius}")
     if steps < 0:
         raise ContractError(f"steps must be non-negative, got {steps}")
     base = net._coerce_batch(x).T
-    single = as_real_array(x).ndim == len(net.input_shape)
     labels = losses.check_labels(t, len(base), net.classes())
     out = base
     if radius > 0.0 and steps > 0:
@@ -217,5 +216,4 @@ def pgd_attack(net: Network, x, t, radius: float, steps: int) -> np.ndarray:
             np.divide(radius, dnorm, out=dnorm)
             delta *= np.minimum(1.0, dnorm, out=dnorm)
         out = base + delta
-    out = out.reshape((len(out),) + net.input_shape)
-    return out[0] if single else out
+    return out.reshape(np.shape(x))

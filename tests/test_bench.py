@@ -9,6 +9,7 @@ from brolip.bench import (CSV_HEADER, MIN_REPS, BenchResult, bench_conv,
                           bench_dense, bro_conv_param_transform,
                           cayley_conv_param_transform, lot_conv_param_transform,
                           medians_non_decreasing, rank_sweep)
+from brolip import bench as benchmod
 from brolip.errors import ContractError
 from brolip.fft import fft2, half_plane
 from brolip import linalg
@@ -88,9 +89,22 @@ def test_full_kernel_methods_record_rank_c(method):
     assert bench_conv(method, 8, 4, 1, 2, reps=10).shape["n"] == 8
 
 
+@pytest.mark.parametrize("method, n", [("bro", 2), ("cayley", 8), ("lot", 8)])
+def test_conv_method_times_the_one_kernel_it_draws(method, n, monkeypatch):
+    # each method draws only the kernel it transforms, as the seed's first draw
+    seen = []
+    name = f"{method}_conv_param_transform"
+    monkeypatch.setattr(benchmod, name, lambda v, *rest: seen.append(v))
+    bench_conv(method, 8, 4, 3, 2, reps=10, seed=5)
+    want = np.random.default_rng(5).standard_normal((8, n, 3, 3)) / np.sqrt(8)
+    assert all(np.array_equal(v, want) for v in seen) and len(seen) == 11
+
+
 def test_unknown_method_rejected():
     with pytest.raises(ContractError):
         bench_dense("qr", 16, 4, reps=10)
+    with pytest.raises(ContractError, match="unknown method"):
+        bench_conv("qr", 8, 4, 1, 2, reps=10)
 
 
 def test_result_row_shape_and_summary():

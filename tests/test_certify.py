@@ -199,6 +199,18 @@ class TestReportAssembly:
         with pytest.raises(ContractError, match="differ in length"):
             CertificationReport([0, 0], [0, 0], [1.0, 1.0], [0.5], 1.0)
 
+    @pytest.mark.parametrize("true, pred, sample, cause", [
+        ([1.7, 0.2], [1.2, 0.9], 0, "label 1.7 of sample 0 is not an integer"),
+        ([1, 0], [1, 0.5], 1, "prediction 0.5 of sample 1 is not an integer"),
+        ([1, np.nan], [1, 0], 1, "label nan of sample 1 is not an integer")])
+    def test_fractional_labels_are_rejected_not_truncated(self, true, pred, sample, cause):
+        with pytest.raises(ContractError, match=cause) as info:
+            CertificationReport(true, pred, [1.2, 0.9], [0.5, 0.2], 1.0)
+        assert info.value.sample == sample
+        # integer values stored as floats are labels
+        rep = CertificationReport([1.0, 0.0], [1, 0], [1.2, 0.9], [0.5, 0.2], 1.0)
+        assert rep.true_label.tolist() == [1, 0] and rep.true_label.dtype == np.int64
+
     def test_save_load_round_trip(self, tmp_path):
         rng = np.random.default_rng(3)
         z = rng.standard_normal((20, 3))
@@ -263,6 +275,21 @@ class TestReportAssembly:
         path = tmp_path / "bad.txt"
         path.write_text(json.dumps(head) + "\n" + record + "\n")
         with pytest.raises(FormatError, match=f"line {line}"):
+            CertificationReport.load(path)
+
+    @pytest.mark.parametrize("record, cause", [
+        ('{"true": 1.7, "pred": 1.2, "margin": 1.0, "radius": 0.5}', "label 1.7"),
+        ('{"true": 1, "pred": 1.5, "margin": 1.0, "radius": 0.5}', "prediction 1.5"),
+        ('{"true": 0, "pred": 0, "margin": 1.0, "radius": NaN}', "negative or NaN"),
+        ('{"true": 0, "pred": 1, "margin": -1.0, "radius": 0.5}', "misclassified")])
+    def test_record_the_constructor_rejects_names_its_line(self, tmp_path, record, cause):
+        # the bad record is sample 1 but line 4: a blank line sits before it
+        head = {"version": 1, "kind": "certification-report", "lipschitz_bound": 1.0,
+                "count": 2, "curve": []}
+        good = '{"true": 1, "pred": 1, "margin": 1.0, "radius": 0.5}'
+        path = tmp_path / "bad.txt"
+        path.write_text("\n".join([json.dumps(head), good, "", record]) + "\n")
+        with pytest.raises(FormatError, match=f"line 4: .*{cause}"):
             CertificationReport.load(path)
 
     def test_corrupted_header_rejected(self, tmp_path):

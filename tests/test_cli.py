@@ -120,6 +120,20 @@ def test_bench_dense_mode(tmp_path):
     assert lines[1].split(",")[2] == "24"  # dense rows carry m
 
 
+def test_bench_dense_mode_sweeps_every_kappa(tmp_path, monkeypatch):
+    gated = []
+    monkeypatch.setattr(benchmod, "medians_non_decreasing",
+                        lambda rows: gated.append(rows) or True)
+    out = tmp_path / "dense.csv"
+    rc = main(["bench", "--methods", "bro,cayley", "--m", "24",
+               "--kappa", "0.25,0.5", "--reps", "10", "--out", str(out)])
+    assert rc == 0
+    rows = [ln.split(",") for ln in out.read_text().strip().splitlines()[1:]]
+    assert [(r[0], r[2], r[6]) for r in rows] == [
+        ("cayley", "24", "24"), ("bro", "24", "6"), ("bro", "24", "12")]
+    assert [[r.shape["n"] for r in sweep] for sweep in gated] == [[6, 12]]
+
+
 def test_loss_curves_csv(tmp_path):
     out = tmp_path / "curves.csv"
     rc = main(["loss-curves", "--T", "0.75", "--xi", "2", "--beta", "5",
@@ -214,6 +228,30 @@ def test_malformed_comma_list_is_a_usage_error(argv, capsys):
         main(argv)
     assert info.value.code == 2
     assert "invalid" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("argv, flag", [
+    (["ortho-check", "--method", "bro", "--m", "4", "--n", "-1"], "--n"),
+    (["ortho-check", "--method", "cayley", "--m", "-2"], "--m"),
+    (["ortho-check", "--method", "cayley", "--m", "0"], "--m"),
+    (["ortho-check", "--method", "lot", "--m", "0"], "--m"),
+    (["bench", "--m", "-4"], "--m"),
+    (["bench", "--c", "-4"], "--c"),
+    (["bench", "--c", "4", "--s", "4", "--k", "-1"], "--k"),
+    (["bench", "--c", "4", "--s", "0"], "--s"),
+    (["bench", "--s", "-4"], "--s"),
+    (["bench", "--kappa", "-0.5"], "--kappa"),
+    (["bench", "--kappa", ","], "--kappa"),
+    (["loss-curves", "--points", "-3"], "--points"),
+    (["conv-oracle", "--max-c", "-1"], "--max-c"),
+    (["conv-oracle", "--max-s", "1"], "--max-s"),
+])
+def test_bad_size_is_a_usage_error_naming_its_flag(argv, flag, capsys):
+    # rejected at parse time: no traceback, no empty case passing
+    with pytest.raises(SystemExit) as info:
+        main(argv)
+    assert info.value.code == 2
+    assert f"argument {flag}:" in capsys.readouterr().err
 
 
 def test_outputs_deterministic_given_flags(tmp_path):

@@ -41,7 +41,7 @@ def test_dense_path_is_the_conv(k, keep):
 
     x = columns(np.random.default_rng(50 + k).standard_normal((7, c, s, s)))
     dense = layer.forward(EagerOps, layer.params(), x)
-    spectral = conv_apply(EagerOps, layer.v, x, layer.geom)
+    spectral = conv_apply(EagerOps, conv_prepare(EagerOps, layer.v, layer.geom), x, layer.geom)
     assert np.linalg.norm(dense - spectral) <= 1e-12 * np.linalg.norm(spectral)
 
     if keep:

@@ -157,9 +157,9 @@ def test_samples_of_contiguous_samples_are_a_view(monkeypatch):
 
     seen = []
 
-    def spy(ops, v, cols, geom):
+    def spy(ops, op, cols, geom):
         seen.append(_samples(cols))
-        return conv_apply(ops, v, cols, geom)
+        return conv_apply(ops, op, cols, geom)
 
     monkeypatch.setattr(ortho, "conv_apply", spy)
     kernel = BroConvKernel(np.random.default_rng(15).standard_normal((2, 1, 3, 3)))

@@ -15,6 +15,16 @@ from brolip.tape import EagerOps, Tape, t_reflect, t_sum
 from tape_helpers import t_real
 
 
+@pytest.mark.parametrize("shape", [(5, 3), (2, 4, 3)])
+def test_adjoint_of_a_real_array_is_a_view(shape):
+    a = np.random.default_rng(40).standard_normal(shape)
+    h = linalg.adjoint(a)
+    assert np.shares_memory(h, a)
+    np.testing.assert_array_equal(h, np.swapaxes(a, -1, -2))
+    z = a + 1j * a[::-1]
+    np.testing.assert_array_equal(linalg.adjoint(z), np.conj(np.swapaxes(z, -1, -2)))
+
+
 def test_identity_matrix_returns_rhs():
     b = np.arange(6.0).reshape(3, 2) + 1j
     x = solve_hpd(np.eye(3), b)

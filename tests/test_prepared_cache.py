@@ -170,5 +170,5 @@ def test_forward_takes_image_single_and_flat_inputs_alike(model):
     assert np.array_equal(net.forward(x[0]), net.forward(x[:1]))
     adv = pgd_attack(net, x, labels, 0.2, 2)
     assert adv.shape == x.shape
-    assert np.array_equal(pgd_attack(net, x.reshape(4, -1), labels, 0.2, 2), adv)
+    assert np.array_equal(pgd_attack(net, x.reshape(4, -1), labels, 0.2, 2), adv.reshape(4, -1))
     assert pgd_attack(net, x[0], labels[0], 0.2, 2).shape == net.input_shape

@@ -205,6 +205,41 @@ def test_reflect_adjoint_solves_only_where_its_association_needs(
         assert solves(lambda: tape.backward(out))[1] == backward
 
 
+@pytest.mark.parametrize("b", [4, 2], ids=["through_b", "through_s"])
+@pytest.mark.parametrize("dtype", [float, complex])
+def test_reflect_cotangents_equal_the_formulas_with_conjugated_copies(dtype, b):
+    # c = 6 < 2b = 8 takes B = L^{-1} V^H, c = 6 >= 2b = 4 takes S; the VJP's
+    # conjugate transposes are `linalg.adjoint` views for real data, which
+    # must give the bits of the conjugated copies they replaced
+    rng = np.random.default_rng(14)
+
+    def draw(*shape):
+        a = rng.standard_normal(shape)
+        return a + 1j * rng.standard_normal(shape) if dtype is complex else a
+
+    def conj_t(a):
+        return np.conj(np.swapaxes(a, -1, -2))
+
+    v0, x0, g = draw(3, 6, 2), draw(3, 6, b), draw(3, 6, b)
+    factor = linalg.gram_factor(v0)
+    y, (bmat, kept) = linalg.reflect(v0, factor, x0)
+    assert (bmat is not None) == (b == 4)
+    if bmat is None:
+        gx, (_, t) = linalg.reflect(v0, factor, g)
+    else:
+        t = bmat @ g
+        gx = conj_t(bmat) @ t
+        gx *= -2.0
+        gx += g
+    gv = -((g + gx) @ conj_t(kept) + (x0 + y) @ conj_t(t))
+    if bmat is not None:
+        gv = conj_t(linalg.solve_upper_conj(factor, conj_t(gv)))
+    tape = Tape()
+    v, x = tape.leaf(v0), tape.leaf(x0)
+    grads = tape.backward(t_reflect(v, factor, x), seed=g)
+    assert np.array_equal(grads[x.idx], gx) and np.array_equal(grads[v.idx], gv)
+
+
 @pytest.mark.parametrize("dtype", [float, complex])
 def test_taped_reflect_value_equals_the_eager_form(dtype):
     rng = np.random.default_rng(9)

@@ -225,6 +225,18 @@ class TestPgdAttack:
             pgd_attack(net, np.zeros((4, 2, 4, 4)), labels, 0.5, 3)
         assert net._prepared is None  # rejected before any forward
 
+    def test_result_takes_the_shape_of_x(self):
+        # shaped (B, 2, 4, 4), flat (B, 32) and one (2, 4, 4) sample each come
+        # back in their own shape, holding the same attack
+        net = _mini_net()
+        x = np.random.default_rng(9).standard_normal((3, 2, 4, 4))
+        shaped = pgd_attack(net, x, [0, 1, 0], 0.5, 3)
+        flat = pgd_attack(net, x.reshape(3, 32), [0, 1, 0], 0.5, 3)
+        single = pgd_attack(net, x[1], 1, 0.5, 3)
+        assert (shaped.shape, flat.shape, single.shape) == ((3, 2, 4, 4), (3, 32), (2, 4, 4))
+        np.testing.assert_array_equal(flat, shaped.reshape(3, 32))
+        np.testing.assert_allclose(single, shaped[1], rtol=0, atol=1e-13)
+
     def test_a_single_sample_takes_one_label(self):
         net = _mini_net()
         x = np.random.default_rng(8).standard_normal((2, 4, 4))
