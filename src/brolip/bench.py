@@ -1,7 +1,8 @@
 """Wall-time micro-benchmarks of the orthogonalization methods.
 
 Each case times the parameter transform: unconstrained parameter to
-orthogonal operator, per spatial frequency for convolutions. Timing uses the
+orthogonal operator, for convolutions per spatial frequency, or for a BRO
+kernel with k = 1 per pixel, as the conv layers run it. Timing uses the
 monotonic performance counter with median-of-repetitions against noise;
 min/max are retained. "Memory" is reported as the `record_alloc` counters
 (see `tensor`), a partial count of the arrays the op layer hands out,
@@ -56,16 +57,23 @@ class BenchResult:
 
 
 def bro_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:
-    """Per-frequency reflector construction; the conv 'parameter transform'.
+    """The BRO conv 'parameter transform': the reflectors of the models'
+    own operator, `ortho.conv_prepare` of the kernel, on the p x p grid.
 
-    The operator is the models' own, `ortho.conv_prepare` of the kernel;
-    each half-plane reflector is `linalg.reflect` applied to the identity
-    with its factor, and the conjugate partners are mirrored.
+    Each reflector is `linalg.reflect` applied to the identity with its
+    factor. At k = 1 the operator is per pixel: its one c x c reflector is
+    returned as a read-only broadcast view over the p^2 frequencies, which
+    it equals at each. Otherwise the half-plane reflectors are built and
+    their conjugate partners mirrored. The Cayley and LOT transforms below
+    stay per-frequency baselines at every k.
     """
     c, _, k, _ = v.shape
+    p = s + 2 * (k // 2)
     op = conv_prepare(EagerOps, v, ConvGeometry(c, c, s, k))
     wf, _ = linalg.reflect(op.vf, op.factor, np.eye(c))
-    return half_plane(s + 2 * (k // 2)).mirror(wf)
+    if op.per_pixel:
+        return np.broadcast_to(wf, (p * p, c, c))
+    return half_plane(p).mirror(wf)
 
 
 def cayley_conv_param_transform(v: np.ndarray, s: int) -> np.ndarray:

@@ -325,7 +325,7 @@ def build_parser() -> argparse.ArgumentParser:
     lc.add_argument("--out", default="")
     lc.set_defaults(func=cmd_loss_curves)
 
-    co = sub.add_parser("conv-oracle", help="FFT path vs materialized matrix")
+    co = sub.add_parser("conv-oracle", help="k = 1 conv vs materialized matrix")
     co.add_argument("--max-c", type=_at_least(1), default=8)
     co.add_argument("--max-s", type=_at_least(2), default=8)
     co.add_argument("--seed", type=int, default=0)

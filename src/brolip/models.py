@@ -18,7 +18,8 @@ evaluate and every PGD call share one prepare per parameter state. A conv
 whose kernel takes no gradient (every eager forward, and
 `Network.prepare`) prepares its dense matrix when c s^2 <=
 `DENSE_CONV_MAX` and applies it as one GEMM; a conv being trained, or a
-larger one, keeps the per-frequency operator.
+larger one, keeps its `ConvOperator`: per pixel at k = 1, per frequency
+otherwise.
 
 Activations travel between layers feature-major, (d, B), one column per
 sample, from the network's input to its (C, B) logits; `Network` takes
@@ -29,7 +30,9 @@ applies W x. maxmin pairs channel blocks of s^2 B contiguous
 entries, so each half of a pair is one run. A layer that needs the image
 shape recorded it at build time and passes it to its primitive, which
 takes only this layout and reads the batch's image rows itself. No layer
-records a reshape or, outside a conv's kernel taps, a transpose. There
+records a transpose outside a conv's kernel taps, nor a reshape outside a
+conv's taps and a k = 1 conv's (c, s^2 B) pixel matrix, the one view
+of the batch that its per-pixel reflect takes. There
 are no bias terms anywhere: they would not change any Lipschitz constant
 but would complicate the margin bookkeeping.
 """

@@ -6,11 +6,17 @@ and involutory, with n eigenvalues -1 and m-n eigenvalues +1. One primitive
 applies it, `linalg.reflect` (taped: `tape.t_reflect`), from the Cholesky
 factor L of V^H V; the dense W (`reflector`, which the dense layers and
 `block_reflector` run) is that primitive applied to the identity,
-which goes through B = L^{-1} V^H as I - 2 B^H B. The
-convolutional variant applies it per spatial frequency after a unitary 2D
-DFT, which yields a real, orthogonal multi-channel circular convolution.
-The kernel's spectrum is the DFT of its k x k taps, one matmul with the tap
-DFT matrix in frequency-major layout. Each frequency's Gram, whose Cholesky
+which goes through B = L^{-1} V^H as I - 2 B^H B.
+
+A conv takes one of two forms (`ConvOperator`), which `conv_prepare`
+picks by kernel size. A k = 1 kernel has the same spectrum at every
+frequency (Sedghi et al. 2019), so its conv is one c x c reflector
+applied at every pixel: one reflect of the batch's (c, s^2 B) pixel
+matrix, with the taps' one Gram factor and no transform. A larger kernel
+is applied per spatial frequency after a unitary 2D DFT, which yields a
+real, orthogonal multi-channel circular convolution. The kernel's
+spectrum is the DFT of its k x k taps, one matmul with the tap DFT matrix
+in frequency-major layout. Each frequency's Gram, whose Cholesky
 factor the reflector needs, comes from the taps too, never from the
 spectrum: every tap pair's product V_t^H V_t' in one c-deep product, then
 one GEMM with the cached tap-pair weights (`linalg.gram_factor_taps`).
@@ -21,7 +27,7 @@ transform to those rows, and the real inverse of the mirrored result, are
 one real GEMM each with the cached `fft.real_window` tables. Those are the
 `fft.real_half` tables of the padded grid at the input's pixels and at the
 output's, so the zero pad and the crop are no separate step: a conv is
-rdft_half, reflect, irdft_half for every k. The output's
+rdft_half, reflect, irdft_half for every k >= 3. The output's
 imaginary residue is read from the s0 self-conjugate rows of the output
 spectrum, the only rows the inverse does not pair into a real sum. The
 conv functions take and return feature-major (c s^2, B) batches, the one
@@ -36,15 +42,17 @@ orthogonalization. The Newton iteration is written once, batched
 (`newton_iterates`); the dense `lot_orthogonalize` adds its per-iteration
 conditioning diagnostics, since the iteration carries no orthogonality
 guarantee for ill-conditioned parameters, and the per-frequency benchmark
-runs the same iteration. The oracle for the FFT path is the explicit matrix
-of a k = 1 conv, W kron I: the same c x c reflector at every pixel.
+runs the same iteration. The oracle for both forms is the explicit matrix
+of a k = 1 conv, W kron I (`materialize_conv_matrix`), which the
+per-frequency form reaches when it is built by hand at k = 1.
 
 At desk scale a conv is also a small fixed linear map (Sedghi et al.
-2019): for c s^2 <= 1024, `conv_matrix` runs the spectral path once on the
+2019): for c s^2 <= 1024, `conv_matrix` runs the conv's path once on the
 identity basis and returns the conv's dense matrix A, and
 `conv_matrix_apply` applies it to a feature-major batch as one GEMM, A x,
-whose adjoint is the transposed GEMM. Its residue gate bounds every input
-at once, so it is no looser than the per-call one.
+whose adjoint is the transposed GEMM. On the per-frequency form its
+residue gate bounds every input at once, so it is no looser than the
+per-call one.
 A frozen conv layer takes this path only up to `models.DENSE_CONV_MAX`,
 the size to which it was measured to pay.
 """
@@ -184,22 +192,31 @@ def identity_kernel(c: int, n: int, k: int) -> np.ndarray:
 
 
 class ConvOperator(NamedTuple):
-    """Parameter side of an orthogonal convolution, per spatial frequency.
+    """Parameter side of an orthogonal convolution, in one of two forms.
 
-    `vf` is the kernel spectrum at the m half-plane representatives of the
-    padded p x p grid (`fft.half_plane(p).rep`), (m, c, n), computed by
-    `conv_prepare` straight from the k x k taps; it is a backend value (a
-    tape variable when recorded). `factor` is the Cholesky factor of each
+    Per pixel (k = 1): the conv is the same c x c reflector at every pixel
+    (Sedghi et al. 2019), so `vf` is the taps V (c, n) themselves and
+    `factor` the Cholesky factor of V^T V, (n, n) (`linalg.gram_factor`).
+    Per frequency (k >= 3): `vf` is the kernel spectrum at the m
+    half-plane representatives of the padded p x p grid
+    (`fft.half_plane(p).rep`), (m, c, n), computed by `conv_prepare`
+    straight from the k x k taps, and `factor` the Cholesky factor of each
     frequency's Gram vf^H vf, (m, n, n), built from the taps' pairwise
-    products rather than from `vf` (`linalg.gram_factor_taps`), plain data
-    computed once from the kernel's value. Applying the operator, or
-    differentiating it, never refactors. `conv_prepare` builds one only for
-    a real kernel: the half plane holds only for a conjugate-symmetric
-    spectrum.
+    products rather than from `vf` (`linalg.gram_factor_taps`). `vf` is a
+    backend value (a tape variable when recorded); `factor` is plain data
+    computed once from the kernel's value, so applying the operator, or
+    differentiating it, never refactors. `conv_apply` and `conv_matrix`
+    run the form they are handed (`per_pixel`). `conv_prepare` builds one
+    only for a real kernel: the half plane holds only for a
+    conjugate-symmetric spectrum.
     """
 
     vf: object
     factor: np.ndarray
+
+    @property
+    def per_pixel(self) -> bool:
+        return self.factor.ndim == 2
 
 
 def tap_spectrum(ops, v, size: int):
@@ -218,21 +235,26 @@ def tap_spectrum(ops, v, size: int):
 
 
 def conv_prepare(ops, v_eff, geom: ConvGeometry) -> ConvOperator:
-    """The per-frequency operator of the kernel `v_eff` (c, n, k, k).
+    """The operator of the kernel `v_eff` (c, n, k, k).
 
-    The spectrum is `tap_spectrum` over the padded grid. The Grams
-    vf^H vf are not formed from the spectrum: `linalg.gram_factor_taps`
-    sums the taps' pairwise products V_t^H V_t' with the cached weights
-    `half_tap_pairs(p, k)` and factors the result. It raises
-    `ContractError` for a complex kernel, before either is computed,
-    `DivergedError` for a non-finite kernel and `SingularParameter` when a
-    frequency's spectrum loses column rank.
+    At k = 1 it is per pixel: the taps reshaped to (c, n) and their one
+    Gram factor. Otherwise it is per frequency: the spectrum is
+    `tap_spectrum` over the padded grid, and the Grams vf^H vf are not
+    formed from it: `linalg.gram_factor_taps` sums the taps' pairwise
+    products V_t^H V_t' with the cached weights `half_tap_pairs(p, k)` and
+    factors the result. It raises `ContractError` for a complex kernel,
+    before either is computed, `DivergedError` for a non-finite kernel and
+    `SingularParameter` when the taps (k = 1) or a frequency's spectrum
+    lose column rank.
     """
-    size = geom.padded_size
     value = ops.value(v_eff)
     _require_real("kernel", _imag_max(value))
-    vf = tap_spectrum(ops, v_eff, size)
-    return ConvOperator(vf, linalg.gram_factor_taps(value, size))
+    if geom.kernel == 1:
+        c, n = value.shape[:2]
+        return ConvOperator(ops.reshape(v_eff, (c, n)),
+                            linalg.gram_factor(value.reshape(c, n)))
+    size = geom.padded_size
+    return ConvOperator(tap_spectrum(ops, v_eff, size), linalg.gram_factor_taps(value, size))
 
 
 def _imag_max(a: np.ndarray) -> float:
@@ -247,6 +269,16 @@ def _require_real(name: str, worst: float) -> None:
             "kernel and input, whose spectra are conjugate-symmetric")
 
 
+def _pixel_reflect(ops, op: ConvOperator, x, geom: ConvGeometry):
+    """The per-pixel reflector applied to the feature-major batch `x`
+    (c s^2, B): one reflect of its (c, s^2 B) reshape, whose columns are
+    the batch's pixels. The arithmetic is real, so no residue is read."""
+    xv = ops.value(x)
+    _require_real("input", _imag_max(xv))
+    y = ops.reflect(op.vf, op.factor, ops.reshape(x, (geom.channels_in, -1)))
+    return ops.reshape(y, xv.shape)
+
+
 def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
     """The reflector applied to the half-plane spectrum of the padded
     feature-major batch `x` (c s^2, B), (m, c, B)."""
@@ -257,16 +289,20 @@ def _reflected_spectrum(ops, op: ConvOperator, x, geom: ConvGeometry):
 def conv_apply(ops, op: ConvOperator, x, geom: ConvGeometry):
     """Orthogonal circular convolution of a batch, backend-generic.
 
-    `op` is the `ConvOperator` that `conv_prepare` built for `geom`. `x`, a
+    `op` is a `ConvOperator` for `geom`, as `conv_prepare` builds it. `x`, a
     backend value, is a feature-major (c s^2, B) batch of s x s images, and
-    so is the output, (c s_out^2, B). The reflector is applied per spatial
-    frequency on the channel axis, at the half-plane representatives only;
-    the output is the real inverse transform of their mirror. `x` must be
-    real (`ContractError` otherwise, before any transform). The imaginary
-    part the inverse of the mirror would carry, read exactly from the output
-    spectrum's self-conjugate rows (`fft.imag_residue`) and linear in `x`,
-    must stay below CONV_IMAG_TOL * max(1, max|x|).
+    so is the output, (c s_out^2, B). `x` must be real (`ContractError`
+    otherwise, before any arithmetic). A per-pixel operator is applied to
+    every pixel's channels at once (`_pixel_reflect`). A per-frequency one
+    is applied per spatial frequency on the channel axis, at the
+    half-plane representatives only; the output is the real inverse
+    transform of their mirror. The imaginary part the inverse of the mirror
+    would carry, read exactly from the output spectrum's self-conjugate
+    rows (`fft.imag_residue`) and linear in `x`, must stay below
+    CONV_IMAG_TOL * max(1, max|x|).
     """
+    if op.per_pixel:
+        return _pixel_reflect(ops, op, x, geom)
     yf = _reflected_spectrum(ops, op, x, geom)
     xv = ops.value(x)
     worst = imag_residue(ops.value(yf), geom.padded_size)
@@ -281,10 +317,11 @@ def conv_apply(ops, op: ConvOperator, x, geom: ConvGeometry):
 def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     """The dense (c s_out^2, c s^2) matrix A of a prepared conv: column j is the conv of e_j.
 
-    Runs the spectral path of `conv_apply` once, on the identity basis of
-    c s^2 inputs as a feature-major batch, so a feature-major batch
-    x (c s^2, B) convolves as A @ x. Limited to c s^2 <= 1024. The gate is
-    the basis form of `conv_apply`'s: with R_j the imaginary residue that
+    Runs `conv_apply`'s path for `op` once, on the identity basis of c s^2
+    inputs as a feature-major batch, so a feature-major batch x (c s^2, B)
+    convolves as A @ x. Limited to c s^2 <= 1024. A per-pixel operator
+    gives W kron I with no gate. On a per-frequency one the gate is the
+    basis form of `conv_apply`'s: with R_j the imaginary residue that
     basis input j leaves at each pixel class and channel (through
     `fft.pixel_residue`, whose maximum is `fft.imag_residue`), it requires
     max over class and channel of sum_j |R_j| <= CONV_IMAG_TOL. Since the
@@ -297,6 +334,8 @@ def conv_matrix(ops, op: ConvOperator, geom: ConvGeometry):
     # the identity is its own transpose: as the transposed view of its
     # contiguous rows, the transform reads it in place
     basis = ops.constant(np.eye(dim).T)
+    if op.per_pixel:
+        return _pixel_reflect(ops, op, basis, geom)
     yf = _reflected_spectrum(ops, op, basis, geom)
     residue = pixel_residue(ops.value(yf), geom.padded_size)   # (classes, c, dim)
     bound = float(np.abs(residue).sum(axis=-1).max())
@@ -419,7 +458,7 @@ def materialize_conv_matrix(kernel: BroConvKernel, s: int) -> Tensor:
     """Explicit (c s^2) x (c s^2) matrix of the circular convolution.
 
     Restricted to the no-extra-pad path (k = 1) and to c s^2 <= 1024; used
-    as the structural oracle for the FFT path. A k = 1 kernel has the same
+    as the structural oracle for both conv paths. A k = 1 kernel has the same
     spectrum at every frequency (Sedghi et al. 2019), so the conv applies one
     c x c reflector W = I - 2 V (V^T V)^{-1} V^T at every pixel. W is
     evaluated by that formula through `linalg.solve_hpd`, independently of

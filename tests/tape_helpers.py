@@ -4,7 +4,9 @@ checked against, the eager zero pad and crop that the windowed DFT
 tables are checked against, and the image forms of the half-plane
 transforms. The oracles take and return (B, c, s, s) image batches;
 `columns` turns one into the feature-major (c s^2, B) batch that the
-primitives take, and `images` turns it back."""
+primitives take, and `images` turns it back. `spectral_operator` builds
+the per-frequency conv operator at any k, k = 1 included, where
+`conv_prepare` builds the per-pixel one."""
 
 import math
 
@@ -12,6 +14,8 @@ import numpy as np
 
 from brolip.errors import ContractError
 from brolip.fft import real_window
+from brolip.linalg import gram_factor_taps
+from brolip.ortho import ConvOperator, tap_spectrum
 from brolip.tape import Var
 
 
@@ -23,6 +27,13 @@ def columns(a: np.ndarray) -> np.ndarray:
 def images(a: np.ndarray, shape) -> np.ndarray:
     """A feature-major (d, B) batch as its contiguous (B,) + `shape` form."""
     return np.ascontiguousarray(a.T).reshape((a.shape[1],) + tuple(shape))
+
+
+def spectral_operator(ops, v, geom) -> ConvOperator:
+    """The per-frequency `ConvOperator` of the kernel `v` on `geom`'s padded
+    grid, built by hand as `conv_prepare` builds it for k >= 3."""
+    p = geom.padded_size
+    return ConvOperator(tap_spectrum(ops, v, p), gram_factor_taps(ops.value(v), p))
 
 
 def t_conj(a: Var) -> Var:

@@ -39,11 +39,13 @@ def test_half_plane_transform_matches_full_plane():
 @pytest.mark.parametrize("c, n, k, s", [(4, 2, 1, 5), (6, 3, 3, 4), (3, 2, 5, 3)])
 def test_bro_param_transform_is_the_models_operator(c, n, k, s):
     # the benchmark times what the conv layers run: the reflectors of
-    # conv_prepare's operator, bit for bit
+    # conv_prepare's operator, bit for bit; at k = 1 its one reflector
+    # stands for every frequency
     v = np.random.default_rng(c + n + k + s).standard_normal((c, n, k, k))
     op = conv_prepare(EagerOps, v, ConvGeometry(c, c, s, k))
     wf, _ = linalg.reflect(op.vf, op.factor, np.eye(c))
-    want = half_plane(s + 2 * (k // 2)).mirror(wf)
+    p = s + 2 * (k // 2)
+    want = np.broadcast_to(wf, (p * p, c, c)) if k == 1 else half_plane(p).mirror(wf)
     np.testing.assert_array_equal(bro_conv_param_transform(v, s), want)
 
 

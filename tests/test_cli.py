@@ -74,9 +74,12 @@ def test_bench_rejects_invalid_parameter_before_timing(argv, cause, capsys):
 
 
 def test_bench_csv_schema(tmp_path, capsys):
+    # a k = 1 transform is one c x c reflector: at c = 16 ranks 2 and 12
+    # took 0.1-0.2 against 0.2-0.4 ms and crossed in 1 of 20 runs, at c = 64
+    # ranks 8 and 48 take about 0.2 against 0.7 ms
     out = tmp_path / "bench.csv"
     rc = main(["bench", "--methods", "bro",
-               "--c", "16", "--s", "8", "--k", "1", "--kappa", "0.125,0.75",
+               "--c", "64", "--s", "8", "--k", "1", "--kappa", "0.125,0.75",
                "--reps", "10", "--out", str(out)])
     assert rc == 0
     lines = out.read_text().strip().splitlines()

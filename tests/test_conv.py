@@ -10,7 +10,7 @@ from brolip.ortho import (BroConvKernel, ConvGeometry, bro_conv_forward,
                           tap_spectrum)
 from brolip.tape import (EagerOps, Tape, TapeOps, grad_check, t_irdft_half,
                          t_mul, t_rdft_half, t_sum)
-from tape_helpers import columns, crop_last2, images, pad_last2
+from tape_helpers import columns, crop_last2, images, pad_last2, spectral_operator
 
 
 def _kernel(c, n, k, seed):
@@ -51,6 +51,35 @@ def test_no_pad_path_matches_materialized_matrix():
     y_fft = bro_conv_forward(kern, x, geom).array.reshape(-1)
     y_mat = mat @ x.reshape(-1)
     assert np.linalg.norm(y_fft - y_mat) / np.linalg.norm(y_mat) < 1e-8
+
+
+@pytest.mark.parametrize("c, n, s", [(4, 2, 6), (3, 1, 5), (8, 6, 4)])
+def test_k1_spectral_and_per_pixel_paths_match_the_oracle(c, n, s):
+    # the per-frequency operator, built by hand at k = 1, runs the spectral
+    # path every k >= 3 takes; it and conv_prepare's per-pixel operator must
+    # both apply W kron I, to 1e-13 of the batch's largest entry
+    kern = _kernel(c, n, 1, 70 + s)
+    geom = ConvGeometry(c, c, s, 1)
+    mat = materialize_conv_matrix(kern, s).array
+    x = columns(np.random.default_rng(71 + s).standard_normal((3, c, s, s)))
+    want = mat @ x
+    spectral = conv_apply(EagerOps, spectral_operator(EagerOps, kern.v, geom), x, geom)
+    pixel = conv_apply(EagerOps, conv_prepare(EagerOps, kern.v, geom), x, geom)
+    tol = 1e-13 * np.abs(x).max()
+    assert np.max(np.abs(spectral - want)) <= tol
+    assert np.max(np.abs(pixel - want)) <= tol
+    assert np.max(np.abs(pixel - spectral)) <= tol
+
+
+def test_per_pixel_conv_rejects_a_complex_kernel_and_input():
+    rng = np.random.default_rng(27)
+    geom = ConvGeometry(4, 4, 5, 1)
+    v = rng.standard_normal((4, 2, 1, 1))
+    with pytest.raises(ContractError, match="kernel has imaginary residue"):
+        conv_prepare(EagerOps, v + 1e-3j, geom)
+    x = columns(rng.standard_normal((2, 4, 5, 5)) + 1e-3j)
+    with pytest.raises(ContractError, match="input has imaginary residue"):
+        conv_apply(EagerOps, conv_prepare(EagerOps, v, geom), x, geom)
 
 
 def test_materialized_matrix_is_orthogonal():
@@ -182,6 +211,29 @@ def test_gradient_matches_finite_differences_at_kernel_size_five():
     assert _kernel_grad_error(c=3, s=4, k=5, n=2, batch=2, seed=32) < 1e-5
 
 
+def _input_grad_error(c, s, k, n, batch, seed):
+    geom = ConvGeometry(c, c, s, k, keep_padding=False)
+    rng = np.random.default_rng(seed)
+    kern = rng.standard_normal((c, n, k, k))
+    readout = columns(rng.standard_normal((batch, c, s, s)))
+
+    def f(x):
+        tape = x.tape
+        ops = TapeOps(tape)
+        y = conv_apply(ops, conv_prepare(ops, tape.leaf(kern, requires_grad=False), geom), x,
+                       geom)
+        return t_sum(t_mul(y, tape.leaf(readout, requires_grad=False)))
+
+    return grad_check(f, columns(rng.standard_normal((batch, c, s, s))), h=1e-6)
+
+
+def test_gradients_match_finite_differences_at_kernel_size_one():
+    # the per-pixel path: the kernel's gradient through the taps' reshape
+    # and the reflect, the input's through the pixel matrix's reshapes
+    assert _kernel_grad_error(c=3, s=4, k=1, n=2, batch=2, seed=39) < 1e-5
+    assert _input_grad_error(c=3, s=4, k=1, n=2, batch=2, seed=40) < 1e-6
+
+
 def _padded_fft_spectrum(v, size):
     # the zero-pad + fft2 + transpose construction the tap DFT replaces
     c, n, k, _ = v.shape
@@ -201,12 +253,20 @@ def test_tap_spectrum_matches_the_padded_fft(c, n, k, s, complex_kernel):
         v = v + 1j * rng.standard_normal((c, n, k, k))
     geom = ConvGeometry(c, c, s, k)
     size = geom.padded_size
-    # conv_prepare refuses a complex kernel, whose spectrum is still defined
+    # conv_prepare refuses a complex kernel, whose spectrum is still defined,
+    # and at k = 1 keeps the taps, not a spectrum
     vf = tap_spectrum(EagerOps, v, size) if complex_kernel else \
-        conv_prepare(EagerOps, v, geom).vf
+        spectral_operator(EagerOps, v, geom).vf
+    if not complex_kernel and k > 1:
+        assert np.array_equal(vf, conv_prepare(EagerOps, v, geom).vf)
     oracle = _padded_fft_spectrum(v, size)[half_plane(size).rep]
     assert vf.shape == oracle.shape
     np.testing.assert_allclose(vf, oracle, rtol=0, atol=1e-14)
+    if k == 1:
+        # the per-pixel taps are the spectrum at every frequency, times p
+        taps = conv_prepare(EagerOps, v, geom).vf
+        np.testing.assert_allclose(np.broadcast_to(taps / size, oracle.shape), oracle,
+                                   rtol=0, atol=1e-14)
 
 
 def test_gradient_wrt_input_matches_finite_differences():
@@ -353,31 +413,28 @@ def test_windowed_tables_are_the_pad_and_the_crop(k, keep):
 def test_gradients_match_finite_differences_at_an_odd_padded_grid():
     # s = 5, k = 3: p = 7, one self-conjugate frequency
     assert _kernel_grad_error(c=2, s=5, k=3, n=1, batch=2, seed=33) < 1e-5
-    c, s, k = 2, 5, 3
-    geom = ConvGeometry(c, c, s, k, keep_padding=False)
-    rng = np.random.default_rng(34)
-    kern = rng.standard_normal((c, 1, k, k))
-    readout = columns(rng.standard_normal((2, c, s, s)))
-
-    def f(x):
-        tape = x.tape
-        ops = TapeOps(tape)
-        y = conv_apply(ops, conv_prepare(ops, tape.leaf(kern, requires_grad=False), geom), x,
-                       geom)
-        return t_sum(t_mul(y, tape.leaf(readout, requires_grad=False)))
-
-    assert grad_check(f, columns(rng.standard_normal((2, c, s, s))), h=1e-6) < 1e-6
+    assert _input_grad_error(c=2, s=5, k=3, n=1, batch=2, seed=34) < 1e-6
 
 
 def test_operator_holds_only_the_half_plane_rows():
-    # 16 x 16 grid: (256 + 4) / 2 = 130 representatives
-    v = np.random.default_rng(35).standard_normal((4, 2, 1, 1))
-    op = conv_prepare(EagerOps, v, ConvGeometry(4, 4, 16, 1))
-    assert op.vf.shape == (130, 4, 2)
-    assert op.factor.shape == (130, 2, 2)
-    gram = np.conj(np.swapaxes(op.vf, -1, -2)) @ op.vf
-    np.testing.assert_allclose(op.factor @ np.conj(np.swapaxes(op.factor, -1, -2)), gram,
-                               atol=1e-13)
+    # 16 x 16 grid: (256 + 4) / 2 = 130 representatives, from conv_prepare at
+    # k = 3 (s = 14) and by hand at k = 1 (s = 16); conv_prepare's k = 1
+    # operator holds the taps and their one factor
+    rng = np.random.default_rng(35)
+    v1 = rng.standard_normal((4, 2, 1, 1))
+    v3 = rng.standard_normal((4, 2, 3, 3))
+    for op in (conv_prepare(EagerOps, v3, ConvGeometry(4, 4, 14, 3)),
+               spectral_operator(EagerOps, v1, ConvGeometry(4, 4, 16, 1))):
+        assert not op.per_pixel
+        assert op.vf.shape == (130, 4, 2)
+        assert op.factor.shape == (130, 2, 2)
+        gram = np.conj(np.swapaxes(op.vf, -1, -2)) @ op.vf
+        np.testing.assert_allclose(op.factor @ np.conj(np.swapaxes(op.factor, -1, -2)),
+                                   gram, atol=1e-13)
+    op = conv_prepare(EagerOps, v1, ConvGeometry(4, 4, 16, 1))
+    assert op.per_pixel
+    assert np.array_equal(op.vf, v1[:, :, 0, 0]) and op.factor.shape == (2, 2)
+    np.testing.assert_allclose(op.factor @ op.factor.T, op.vf.T @ op.vf, atol=1e-13)
 
 
 @pytest.mark.parametrize("s", [4, 5])
@@ -400,11 +457,26 @@ def test_perturbed_self_conjugate_row_fails_the_output_gate(s):
 def test_taped_conv_records_a_fixed_node_count(k, nodes):
     # two leaves, five prepare nodes (taps, spectrum; the Gram's factor is
     # plain data) and the apply: rdft_half, reflect and irdft_half, whose
-    # tables hold the zero pad and the crop for every k
+    # tables hold the zero pad and the crop for every k; at k = 1 the
+    # per-frequency operator is built by hand
     rng = np.random.default_rng(37 + k)
     tape = Tape()
     v = tape.leaf(rng.standard_normal((4, 2, k, k)))
     x = tape.leaf(columns(rng.standard_normal((2, 4, 5, 5))))
     ops, geom = TapeOps(tape), ConvGeometry(4, 4, 5, k)
-    conv_apply(ops, conv_prepare(ops, v, geom), x, geom)
+    op = spectral_operator(ops, v, geom) if k == 1 else conv_prepare(ops, v, geom)
+    conv_apply(ops, op, x, geom)
     assert len(tape.nodes) == nodes, [node.op for node in tape.nodes]
+
+
+def test_taped_per_pixel_conv_records_reshapes_around_one_reflect():
+    # two leaves, the taps' reshape, then the pixel matrix's reshape, the
+    # reflect and the reshape back: no transform
+    rng = np.random.default_rng(38)
+    tape = Tape()
+    v = tape.leaf(rng.standard_normal((4, 2, 1, 1)))
+    x = tape.leaf(columns(rng.standard_normal((2, 4, 5, 5))))
+    ops, geom = TapeOps(tape), ConvGeometry(4, 4, 5, 1)
+    conv_apply(ops, conv_prepare(ops, v, geom), x, geom)
+    assert [node.op for node in tape.nodes] == ["leaf", "leaf", "reshape", "reshape",
+                                                "reflect", "reshape"]
